@@ -19,13 +19,13 @@ Knobs:
   same programmatically.
 * ``REPRO_CODEGEN_DUMP=dir`` writes every freshly lowered module to *dir*
   for inspection.
-* ``REPRO_CODEGEN_JIT=1`` wraps loop-nest kernel variants with numba's
-  ``@njit(cache=True)`` when numba is importable (warns once otherwise).
 """
 from __future__ import annotations
 
 import os
 from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from ..core import cache as _cache
 from ..core.store import stable_fingerprint
@@ -61,6 +61,9 @@ _STRATEGIES = {
     "spttv": ("rows", "nonzeros"),
     "spmttkrp": ("rows", "nonzeros"),
 }
+
+#: the one template that calls SciPy's compiled ``csr_matvec``.
+_CSR_MATVEC_KEY = ("spmv", "csr", "rows")
 
 
 def _env_default() -> str:
@@ -98,7 +101,7 @@ def resolve_backend(backend: Optional[str]) -> str:
 
 
 def codegen_stats() -> dict:
-    """Lifecycle counters: lowered/loaded/binds/fallbacks/store_seeded."""
+    """Lifecycle counters: lowered/loaded/binds/fallbacks/store_seeded/store_stale."""
     return registry.stats()
 
 
@@ -139,7 +142,15 @@ def kernel_spec(ck) -> Optional[Tuple[str, str, str]]:
     if fmt is None:
         return None
     key = (ck.kind, fmt, ck.strategy)
-    return key if key in SUPPORTED else None
+    if key not in SUPPORTED:
+        return None
+    # The SpMV rows leaf writes through SciPy's csr_matvec, which needs a
+    # float64 output: other dtypes take the interpreter leaf.
+    if key == _CSR_MATVEC_KEY:
+        operands = [access.tensor for access in ck.roles.values()] + [ck.out]
+        if any(t.dtype != np.float64 for t in operands):
+            return None
+    return key
 
 
 def supported(ck) -> bool:
@@ -192,7 +203,6 @@ def _pos_pieces(ck):
 def _bind(module, ck, spec):
     """Call the generated module's ``bind`` with ck's raw arrays."""
     kind, fmt, strategy = spec
-    jit = registry.jit_decorator()
     out = ck.out
     if kind == "spmv":
         B = ck.roles["B"].tensor
@@ -200,7 +210,7 @@ def _bind(module, ck, spec):
         c = ck.roles["c"].tensor.dense_array()
         o = out.vals.data
         pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, c, o, pieces, Work, jit)
+        return module.bind(pos, crd, vals, c, o, pieces, Work)
     if kind == "spmm":
         B = ck.roles["B"].tensor
         pos, crd, vals = B.csr_arrays()
@@ -210,7 +220,7 @@ def _bind(module, ck, spec):
             pieces = _pos_pieces(ck)
         else:
             pieces = [(p.color, p.rows[0], p.rows[1], p.cols) for p in ck.pieces]
-        return module.bind(pos, crd, vals, C, o, pieces, Work, jit)
+        return module.bind(pos, crd, vals, C, o, pieces, Work)
     if kind == "sddmm":
         B = ck.roles["B"].tensor
         pos, crd, vals = B.csr_arrays()
@@ -218,7 +228,7 @@ def _bind(module, ck, spec):
         D = ck.roles["D"].tensor.dense_array()
         ov = out.vals.data
         pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, C, D, ov, pieces, Work, jit)
+        return module.bind(pos, crd, vals, C, D, ov, pieces, Work)
     if kind == "fused_sddmm_spmm":
         B = ck.roles["B"].tensor
         pos, crd, vals = B.csr_arrays()
@@ -227,7 +237,7 @@ def _bind(module, ck, spec):
         F = ck.roles["F"].tensor.dense_array()
         o = out.dense_array()
         pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, C, D, F, o, pieces, Work, jit)
+        return module.bind(pos, crd, vals, C, D, F, o, pieces, Work)
     if kind == "spttv":
         B = ck.roles["B"].tensor
         lvl2 = B.levels[2]
@@ -236,14 +246,14 @@ def _bind(module, ck, spec):
         c = ck.roles["c"].tensor.dense_array()
         ov = out.vals.data.reshape(-1)
         if strategy == "nonzeros":
-            return module.bind(pos2, crd2, vals, c, ov, _pos_pieces(ck), Work, jit)
+            return module.bind(pos2, crd2, vals, c, ov, _pos_pieces(ck), Work)
         if fmt == "csf3":
             pos1 = B.levels[1].pos.data
             return module.bind(
-                pos1, pos2, crd2, vals, c, ov, _row_pieces(ck), Work, jit
+                pos1, pos2, crd2, vals, c, ov, _row_pieces(ck), Work
             )
         return module.bind(
-            B.levels[1].size, pos2, crd2, vals, c, ov, _row_pieces(ck), Work, jit
+            B.levels[1].size, pos2, crd2, vals, c, ov, _row_pieces(ck), Work
         )
     if kind == "spmttkrp":
         B = ck.roles["B"].tensor
@@ -258,9 +268,9 @@ def _bind(module, ck, spec):
             lvl1 = B.levels[1]
             return module.bind(
                 lvl1.pos.data, lvl1.crd.data, pos2, crd2, vals, C, D, o,
-                pieces, Work, jit,
+                pieces, Work,
             )
         return module.bind(
-            B.levels[1].size, pos2, crd2, vals, C, D, o, pieces, Work, jit
+            B.levels[1].size, pos2, crd2, vals, C, D, o, pieces, Work
         )
     raise AssertionError(f"unreachable: no binder for {spec}")

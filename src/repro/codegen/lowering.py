@@ -12,10 +12,16 @@ the *identical* accumulation primitives as the interpreter leaves in
 costs are bit-identical to the interpreter — only the per-call Python
 scaffolding disappears.
 
+The one exception is the SpMV ``rows`` leaf, which calls SciPy's
+compiled ``_sparsetools.csr_matvec`` on views of B's regions instead of
+``np.bincount``.  It is still bit-identical: each row starts from 0.0
+and adds ``vals[p] * c[crd[p]]`` in position order, the same products
+in the same order as the interpreter's segment sum.
+
 The emitted source is self-contained (imports ``numpy`` and, where the
-template needs it, ``scipy.sparse``) and carries a ``META`` dict so a
-module dumped via ``REPRO_CODEGEN_DUMP`` or persisted in the
-:class:`~repro.core.store_index.ArtifactStore` is self-describing.
+template needs it, ``scipy.sparse`` or its ``_sparsetools``) and carries
+a ``META`` dict so a module dumped via ``REPRO_CODEGEN_DUMP`` or persisted
+in the :class:`~repro.core.store_index.ArtifactStore` is self-describing.
 """
 from __future__ import annotations
 
@@ -57,75 +63,43 @@ def _fill_zero(ov, w):
 '''
 
 _SPMV_ROWS = '''
-def bind(pos, crd, vals, c, out, pieces, Work, jit=None):
-    """Hoist per-piece row scaffolding; return {color: thunk}."""
-    kern = _jit_kernel(jit)
+def bind(pos, crd, vals, c, out, pieces, Work):
+    """Build a local CSR row pointer per piece; return {color: thunk}."""
     thunks = {}
+    ncols = c.shape[0]
     for color, r0, r1 in pieces:
         if r1 < r0:
             thunks[color] = _const(Work(0.0, 0.0))
             continue
         nr = r1 - r0 + 1
-        lo = pos[r0 : r1 + 1, 0]
-        hi = pos[r0 : r1 + 1, 1]
-        lens = np.maximum(hi - lo + 1, 0)
-        nnz = int(lens.sum())
+        s, e = int(pos[r0, 0]), int(pos[r1, 1])
+        nnz = e + 1 - s
         ov = out[r0 : r1 + 1]
         if nnz == 0:
             thunks[color] = _fill_zero(ov, Work(0.0, float(nr * 8)))
             continue
+        indptr = np.empty(nr + 1, dtype=np.int64)
+        indptr[:-1] = pos[r0 : r1 + 1, 0] - s
+        indptr[-1] = nnz
         w = Work(2.0 * nnz, float(nnz * 3 * 8 + nr * 2 * 8))
-        if kern is not None:
-            thunks[color] = _loop_thunk(kern, pos, crd, vals, c, out, r0, r1, w)
-            continue
-        s, e = int(lo[0]), int(hi[-1])
-        v = vals[s : e + 1]
-        cc = crd[s : e + 1]
-        rows = np.repeat(np.arange(nr, dtype=np.int64), lens)
-        thunks[color] = _rows_thunk(v, cc, c, rows, nr, ov, w)
+        thunks[color] = _rows_thunk(
+            nr, ncols, indptr, crd[s : e + 1], vals[s : e + 1], c, ov, w
+        )
     return thunks
 
 
-def _rows_thunk(v, cc, c, rows, nr, ov, w):
+def _rows_thunk(nr, ncols, indptr, cc, v, c, ov, w):
     def thunk():
-        ov[:] = np.bincount(rows, weights=v * c[cc], minlength=nr)[:nr]
+        # csr_matvec adds into ov; from 0.0 each row sums its products in
+        # position order, the same adds as np.bincount's segment sum.
+        ov[...] = 0.0
+        _sparsetools.csr_matvec(nr, ncols, indptr, cc, v, c, ov)
         return w
     return thunk
-
-
-def _loop_thunk(kern, pos, crd, vals, c, out, r0, r1, w):
-    def thunk():
-        kern(pos, crd, vals, c, out, r0, r1)
-        return w
-    return thunk
-
-
-def _kernel_loop(pos, crd, vals, c, out, r0, r1):
-    # Sequential per-row accumulation: identical add order to np.bincount,
-    # so results stay bit-identical to the vectorized thunk.
-    for i in range(r0, r1 + 1):
-        acc = 0.0
-        for p in range(pos[i, 0], pos[i, 1] + 1):
-            acc += vals[p] * c[crd[p]]
-        out[i] = acc
-
-
-_JITTED = [False]
-
-
-def _jit_kernel(jit):
-    if jit is None:
-        return None
-    if _JITTED[0] is False:
-        try:
-            _JITTED[0] = jit(_kernel_loop)
-        except Exception:
-            _JITTED[0] = None
-    return _JITTED[0]
 '''
 
 _SPMV_NONZEROS = '''
-def bind(pos, crd, vals, c, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, c, out, pieces, Work):
     """Hoist per-piece position scaffolding; return {color: thunk}."""
     thunks = {}
     for color, p0, p1 in pieces:
@@ -155,7 +129,7 @@ def _nz_thunk(v, cc, c, rel, nr, ov, w):
 '''
 
 _SPMM_ROWS = '''
-def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, out, pieces, Work):
     """Hoist local CSR blocks per piece; return {color: thunk}."""
     thunks = {}
     ncols = C.shape[0]
@@ -171,10 +145,11 @@ def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
         indptr = np.empty(r1 - r0 + 2, dtype=np.int64)
         indptr[:-1] = pos[r0 : r1 + 1, 0] - s
         indptr[-1] = e + 1 - s
-        block = sp.csr_matrix(
-            (vals[s : e + 1], crd[s : e + 1], indptr),
-            shape=(r1 - r0 + 1, ncols),
-        )
+        v = vals[s : e + 1]
+        block = sp.csr_matrix((v, crd[s : e + 1], indptr), shape=(r1 - r0 + 1, ncols))
+        # The constructor copies a slice under half its base; re-point the
+        # block at the view so in-place value writes reach the leaf.
+        block.data = v
         ov = Ov[r0 : r1 + 1, :]
         w = Work(
             2.0 * nnz * k,
@@ -192,7 +167,7 @@ def _rows_thunk(block, Cv, ov, w):
 '''
 
 _SPMM_NONZEROS = '''
-def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, out, pieces, Work):
     """Hoist position/row scaffolding per piece; return {color: thunk}."""
     thunks = {}
     k = C.shape[1]
@@ -261,7 +236,7 @@ def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, k, Work):
 
 _SDDMM_ROWS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces, Work):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     Dt = D.T
@@ -280,7 +255,7 @@ def bind(pos, crd, vals, C, D, out_vals, pieces, Work, jit=None):
 
 _SDDMM_NONZEROS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces, Work):
     """Hoist chunked row/col gathers per piece; return {color: thunk}."""
     thunks = {}
     Dt = D.T
@@ -315,7 +290,7 @@ def _sddmm_chunks(rows, crd, vals, scratch, p0, p1):
 
 _FUSED_SDDMM_SPMM_NONZEROS = _FUSED_SDDMM_SPMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces, Work):
     """Hoist both phases' scaffolding; the SDDMM product lives in a scratch
     values array private to this binding — never a region."""
     thunks = {}
@@ -363,7 +338,7 @@ def _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w):
 
 _FUSED_SDDMM_SPMM_ROWS = _FUSED_SDDMM_SPMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces, Work):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     scratch = np.zeros_like(vals)
@@ -442,7 +417,7 @@ def _fiber_thunk(pos2, crd2, vals, c, out_vals, f0, f1, Work):
 
 _SPTTV_ROWS_CSF = _SPTTV_FIBER_COMMON + '''
 
-def bind(pos1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
+def bind(pos1, pos2, crd2, vals, c, out_vals, pieces, Work):
     """Resolve row bounds to CSF fiber ranges at bind; return {color: thunk}."""
     thunks = {}
     for color, r0, r1 in pieces:
@@ -456,7 +431,7 @@ def bind(pos1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
 
 _SPTTV_ROWS_DDC = _SPTTV_FIBER_COMMON + '''
 
-def bind(n1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
+def bind(n1, pos2, crd2, vals, c, out_vals, pieces, Work):
     """Resolve row bounds to dense fiber ranges at bind; return {color: thunk}."""
     thunks = {}
     for color, r0, r1 in pieces:
@@ -469,7 +444,7 @@ def bind(n1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
 '''
 
 _SPTTV_NONZEROS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
+def bind(pos2, crd2, vals, c, out_vals, pieces, Work):
     """Hoist fiber maps per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1 in pieces:
@@ -555,7 +530,7 @@ def _ids(n1, pos2, crd2, p0, p1):
 
 _MTTKRP_ROWS_CSF = _MTTKRP_BODY + _MTTKRP_CSF_IDS + '''
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
+def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work):
     """Resolve rows -> fibers -> positions at bind; return {color: thunk}."""
     thunks = {}
     for color, r0, r1 in pieces:
@@ -579,7 +554,7 @@ def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
 
 _MTTKRP_ROWS_DDC = _MTTKRP_BODY + _MTTKRP_DDC_IDS + '''
 
-def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
+def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work):
     """Resolve rows -> fibers -> positions at bind; return {color: thunk}."""
     thunks = {}
     for color, r0, r1 in pieces:
@@ -603,7 +578,7 @@ def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
 
 _MTTKRP_NZ_CSF = _MTTKRP_BODY + _MTTKRP_CSF_IDS + '''
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
+def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1 in pieces:
@@ -619,7 +594,7 @@ def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
 
 _MTTKRP_NZ_DDC = _MTTKRP_BODY + _MTTKRP_DDC_IDS + '''
 
-def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
+def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1 in pieces:
@@ -655,11 +630,12 @@ TEMPLATES: Dict[Tuple[str, str, str], str] = {
     ("spmttkrp", "ddc", "nonzeros"): _MTTKRP_NZ_DDC,
 }
 
-#: templates whose generated source needs scipy.sparse.
-_NEEDS_SCIPY = {
-    ("spmm", "csr", "rows"),
-    ("spmm", "csr", "grid"),
-    ("fused_sddmm_spmm", "csr", "rows"),
+#: extra imports per template that needs SciPy.
+_SCIPY_IMPORTS = {
+    ("spmv", "csr", "rows"): "from scipy.sparse import _sparsetools\n",
+    ("spmm", "csr", "rows"): "import scipy.sparse as sp\n",
+    ("spmm", "csr", "grid"): "import scipy.sparse as sp\n",
+    ("fused_sddmm_spmm", "csr", "rows"): "import scipy.sparse as sp\n",
 }
 
 #: the full lowering support matrix.
@@ -672,7 +648,7 @@ def emit_source(kind: str, fmt: str, strategy: str) -> str:
     body = TEMPLATES.get(key)
     if body is None:
         raise KeyError(f"no lowering template for {key}")
-    extra = "import scipy.sparse as sp\n" if key in _NEEDS_SCIPY else ""
+    extra = _SCIPY_IMPORTS.get(key, "")
     return _HEADER.format(
         kind=kind, fmt=fmt, strategy=strategy, extra_imports=extra
     ) + body

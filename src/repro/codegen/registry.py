@@ -1,4 +1,4 @@
-"""AOT module registry: lower, exec-load, dump, and JIT-probe bookkeeping.
+"""AOT module registry: lower, exec-load and dump bookkeeping.
 
 The registry is the lifecycle layer between the lowering templates and the
 kernel cache: ``aot_entry_for`` resolves a stable fingerprint to an
@@ -22,18 +22,17 @@ from __future__ import annotations
 import os
 import threading
 import types
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..analysis import sanitizer as _sanitizer
 from ..core import cache as _cache
 from . import lowering
 
-#: One lock for every piece of registry state: the lifecycle counters, the
-#: JIT probe memo and the single-flight table.  Reentrant so a locked
-#: helper may call another (``bump`` inside a locked region).
+#: One lock for every piece of registry state: the lifecycle counters and
+#: the single-flight table.  Reentrant so a locked helper may call another
+#: (``bump`` inside a locked region).
 _LOCK = threading.RLock()
 
 #: lifecycle counters — ``lowered`` is the one the warm-start gate watches.
@@ -43,6 +42,7 @@ _counters: Dict[str, int] = {
     "binds": 0,          # leaf binds (thunk-table constructions)
     "fallbacks": 0,      # kernels routed back to the interpreter
     "store_seeded": 0,   # modules re-hydrated from a packed artifact
+    "store_stale": 0,    # stored modules unlike today's emission (re-lowered)
 }
 
 #: fingerprints with a lowering currently in flight -> completion event.
@@ -131,22 +131,32 @@ def seed_from_store(
     :class:`~repro.errors.SanitizerError` here instead of executing
     arbitrary code at the later ``ensure_loaded``.  ``REPRO_AOT_TRUST``
     skips the check; ``origin`` names the on-disk file in diagnostics.
+
+    The templates are constant, so a stored module is seeded only when it
+    equals what :func:`lowering.emit_source` emits today.  Anything else
+    (an artifact saved by an older template, or edited on disk) is counted
+    as ``store_stale`` and left out; the kernel then lowers fresh source.
+    The allowlist check runs first so that a tampered artifact still
+    raises instead of being quietly re-lowered.
     """
     if not _sanitizer.aot_trusted():
         _sanitizer.verify_aot_source(
             source, filename=str(origin) if origin is not None else f"aot:{key[:32]}"
         )
+    kind, fmt, strategy = (
+        str(meta.get(field, "")) for field in ("kind", "format", "strategy")
+    )
+    try:
+        current = lowering.emit_source(kind, fmt, strategy)
+    except KeyError:
+        current = None
+    if source != current:
+        bump("store_stale")
+        return
     with _LOCK:
         if _cache.lookup_aot(key) is not None:
             return
-        entry = AotEntry(
-            key,
-            str(meta.get("kind", "")),
-            str(meta.get("format", "")),
-            str(meta.get("strategy", "")),
-            source,
-            from_store=True,
-        )
+        entry = AotEntry(key, kind, fmt, strategy, source, from_store=True)
         _cache.store_aot(key, entry, nbytes=len(source) + 512)
         _counters["store_seeded"] += 1
 
@@ -158,16 +168,10 @@ def ensure_loaded(entry: AotEntry) -> types.ModuleType:
     binding the same entry concurrently load one module object (the
     ``loaded`` counter stays per-entry exact).
 
-    Store-seeded entries re-verify against the AST allowlist immediately
-    before ``exec`` (defense in depth over the ``seed_from_store`` check —
-    the entry may predate the sanitizer or have been constructed directly);
-    locally lowered source is our own emitter's output and is trusted.
+    Every entry's source is the emitter's own output: locally lowered, or
+    store-seeded only after :func:`seed_from_store` found it equal to it.
     """
     if entry.module is None:
-        if entry.from_store and not _sanitizer.aot_trusted():
-            _sanitizer.verify_aot_source(
-                entry.source, filename=f"aot:{entry.key[:32]}"
-            )
         with _LOCK:
             if entry.module is None:
                 name = (
@@ -192,46 +196,3 @@ def _maybe_dump(entry: AotEntry) -> None:
     dump_dir.mkdir(parents=True, exist_ok=True)
     fname = f"{entry.kind}_{entry.fmt}_{entry.strategy}_{entry.key[:16]}.py"
     (dump_dir / fname).write_text(entry.source)
-
-
-# --------------------------------------------------------------------- #
-# optional numba JIT tier
-# --------------------------------------------------------------------- #
-_jit_state: Dict[str, object] = {"probed": False, "warned": False, "decorator": None}
-
-
-def jit_decorator() -> Optional[Callable]:
-    """The njit wrapper when ``REPRO_CODEGEN_JIT=1`` and numba imports.
-
-    Returns ``None`` when the flag is off or numba is absent; the absence
-    path warns exactly once and generated modules keep their vectorized
-    thunks.
-    """
-    if os.environ.get("REPRO_CODEGEN_JIT") != "1":
-        return None
-    with _LOCK:
-        if not _jit_state["probed"]:
-            _jit_state["probed"] = True
-            try:
-                from numba import njit  # type: ignore
-
-                _jit_state["decorator"] = lambda fn: njit(cache=True)(fn)
-            except ImportError:
-                if not _jit_state["warned"]:
-                    warnings.warn(
-                        "REPRO_CODEGEN_JIT=1 but numba is not importable; "
-                        "generated kernels stay vectorized (no JIT tier)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    _jit_state["warned"] = True
-                _jit_state["decorator"] = None
-        return _jit_state["decorator"]  # type: ignore[return-value]
-
-
-def reset_jit_state() -> None:
-    """Forget the numba probe result (tests toggling the env flag)."""
-    with _LOCK:
-        _jit_state["probed"] = False
-        _jit_state["warned"] = False
-        _jit_state["decorator"] = None

@@ -347,23 +347,24 @@ class Tensor:
         sizes = self.stored_shape()
 
         if nnz:
-            # Lexicographic sort by storage order, then fold duplicates.
-            sort = np.lexsort(tuple(reversed(stored)))
-            stored = [c[sort] for c in stored]
-            vals = vals[sort]
-            if nnz > 1:
+            # Lexicographic sort by storage order, then fold duplicates.  A
+            # stable sort of sorted keys is the identity, so skip it when the
+            # input (e.g. canonical CSR) is already in order.
+            tied = _sorted_ties(stored)
+            if tied is None:
+                sort = np.lexsort(tuple(reversed(stored)))
+                stored = [c[sort] for c in stored]
+                vals = vals[sort]
+                tied = _sorted_ties(stored)
+            if tied.any():
                 dup = np.ones(nnz, dtype=bool)
-                same = np.ones(nnz - 1, dtype=bool)
-                for c in stored:
-                    same &= c[1:] == c[:-1]
-                dup[1:] = ~same
-                if not dup.all():
-                    group = np.cumsum(dup) - 1
-                    vals = np.bincount(group, weights=vals, minlength=group[-1] + 1).astype(
-                        self.dtype
-                    )
-                    stored = [c[dup] for c in stored]
-                    nnz = vals.size
+                dup[1:] = ~tied
+                group = np.cumsum(dup) - 1
+                vals = np.bincount(group, weights=vals, minlength=group[-1] + 1).astype(
+                    self.dtype
+                )
+                stored = [c[dup] for c in stored]
+                nnz = vals.size
 
         self.levels = []
         parent_ids = np.zeros(nnz, dtype=np.int64)
@@ -490,3 +491,14 @@ class Tensor:
             f"Tensor({self.name}, shape={self.shape}, format={self.format.name}, "
             f"nnz={self.nnz})"
         )
+
+
+def _sorted_ties(keys: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Which tuples of ``zip(*keys)`` equal their predecessor, or None when
+    the tuples are not in non-decreasing order."""
+    tied = np.ones(keys[0].size - 1, dtype=bool)
+    for k in keys:
+        if (tied & (k[1:] < k[:-1])).any():
+            return None
+        tied &= k[1:] == k[:-1]
+    return tied

@@ -259,7 +259,10 @@ class TestTamperedAotArtifact:
         monkeypatch.setenv("REPRO_AOT_TRUST", "1")
         store.load_latest(fresh_schedule(), machine)  # no raise
         from repro.codegen import codegen_stats
-        assert codegen_stats()["store_seeded"] == 1
+        # Trusted, but no longer what the template emits: left out and
+        # lowered fresh instead of exec-loaded.
+        assert codegen_stats()["store_seeded"] == 0
+        assert codegen_stats()["store_stale"] == 1
 
     def test_untampered_warm_start_still_clean(self, tmp_path):
         store, machine, fresh_schedule = _packed_spmv_store(tmp_path)

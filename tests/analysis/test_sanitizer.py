@@ -22,14 +22,14 @@ import numpy as np
 
 META = {"generator": "repro.codegen", "version": 1}
 _CHUNK = 1 << 18
-_JITTED = [False]
+_SIZES = [1, 2]
 
 
 def _helper(x):
     return np.asarray(x) * 2
 
 
-def bind(vals, out, pieces, Work, jit=None):
+def bind(vals, out, pieces, Work):
     def thunk():
         out[...] = _helper(vals)
         return Work(1.0, 1.0)

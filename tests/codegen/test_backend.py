@@ -104,6 +104,61 @@ class TestFallbacks:
         assert stats["binds"] == 0
         np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
 
+    def test_float32_output_falls_back_to_interpreter(self):
+        # csr_matvec writes only a float64 output; a float32 result tensor
+        # must take the interpreter leaf instead of failing at execute.
+        def build(seed=5):
+            rng = np.random.default_rng(seed)
+            A = sp.random(24, 24, density=0.2, random_state=rng,
+                          format="csr")
+            B = Tensor.from_scipy("B", A, CSR)
+            c = Tensor.from_dense("c", rng.random(24))
+            a = Tensor.zeros("a", (24,), dtype=np.float32)
+            i, j = index_vars("i j")
+            a[i] = B[i, j] * c[j]
+            return a
+
+        machine = Machine.cpu(PIECES)
+        a1 = build()
+        ck1 = compile_kernel(auto_schedule(a1, machine, strategy="rows"),
+                             machine, backend="interp")
+        ck1.execute(Runtime(machine))
+        clear_caches()
+        a2 = build()
+        ck2 = compile_kernel(auto_schedule(a2, machine, strategy="rows"),
+                             machine, backend="codegen")
+        ck2.execute(Runtime(machine))
+        stats = codegen_stats()
+        assert stats["fallbacks"] >= 1
+        assert stats["binds"] == 0
+        np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
+
+    def test_float32_output_keeps_other_generated_leaves(self):
+        # Only the csr_matvec leaf needs float64; SpMM rows stays generated.
+        def build(seed=5):
+            rng = np.random.default_rng(seed)
+            A = sp.random(24, 24, density=0.2, random_state=rng,
+                          format="csr")
+            B = Tensor.from_scipy("B", A, CSR)
+            C = Tensor.from_dense("C", rng.random((24, 3)))
+            out = Tensor.zeros("A", (24, 3), dtype=np.float32)
+            i, j, k = index_vars("i j k")
+            out[i, k] = B[i, j] * C[j, k]
+            return out
+
+        machine = Machine.cpu(PIECES)
+        a1 = build()
+        ck1 = compile_kernel(auto_schedule(a1, machine, strategy="rows"),
+                             machine, backend="interp")
+        ck1.execute(Runtime(machine))
+        clear_caches()
+        a2 = build()
+        ck2 = compile_kernel(auto_schedule(a2, machine, strategy="rows"),
+                             machine, backend="codegen")
+        ck2.execute(Runtime(machine))
+        assert codegen_stats()["binds"] == 1
+        np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
+
     def test_caches_disabled_falls_back(self):
         a, sched = spmv_workload()
         machine = Machine.cpu(PIECES)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api.autoschedule import auto_schedule
+from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import (
     PartitioningPlan,
     cache_budgets,
@@ -109,17 +111,35 @@ class TestKernelCache:
         ck2.execute()
         assert np.allclose(a.vals.data, A2.tocsr() @ c.vals.data)
 
-    def test_mutated_values_only_hits(self):
+    @pytest.mark.parametrize("kind,strategy", [
+        ("spmv", "rows"), ("spmv", "nonzeros"),
+        ("spmm", "rows"), ("spmm", "grid"), ("spmm", "nonzeros"),
+    ])
+    def test_mutated_values_only_hits(self, kind, strategy):
         A, B, c, a = make_tensors()
+        if kind == "spmm":
+            c = Tensor.from_dense("C", rng.random((M, 5)))
+            a = Tensor.zeros("a", (N, 5))
         machine = Machine.cpu(4)
-        ck1 = compile_kernel(spmv_schedule(B, c, a), machine)
+
+        def schedule():
+            i, j, k = index_vars("i j k")
+            if kind == "spmv":
+                a[i] = B[i, j] * c[j]
+            else:
+                a[i, k] = B[i, j] * c[j, k]
+            return auto_schedule(a, machine, strategy=strategy)
+
+        reset_codegen_stats()
+        ck1 = compile_kernel(schedule(), machine)
         ck1.execute()
+        assert codegen_stats()["binds"] == 1  # the generated leaf ran
         B.vals.data *= 2.0  # value write: pattern unchanged
-        c.vals.data[...] = rng.random(M)
-        ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
+        c.vals.data[...] = rng.random(c.shape)
+        ck2 = compile_kernel(schedule(), machine)
         assert ck2 is ck1  # partition + kernel caches still hot
         ck2.execute()
-        assert np.allclose(a.vals.data, (2.0 * A) @ c.vals.data)
+        assert np.allclose(a.to_dense(), (2.0 * A) @ c.to_dense())
 
     def test_use_cache_false_bypasses(self):
         _, B, c, a = make_tensors()

@@ -7,6 +7,8 @@ resolve to the *same* exec-loaded module object with zero lowering work.
 The warm-start contract (artifact store round trip re-seeds the cache
 without lowering) is asserted here too.
 """
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +16,7 @@ import scipy.sparse as sp
 from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import cache as _cache
 from repro.core import clear_caches, compile_kernel
-from repro.core.store import stable_fingerprint
+from repro.core.store import MANIFEST_NAME, file_sha256, stable_fingerprint
 from repro.core.store_index import ArtifactStore
 from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, index_vars
@@ -128,3 +130,36 @@ class TestStoreWarmStart:
         out = ck2.out.to_dense() if hasattr(ck2, "out") else a2.to_dense()
         np.testing.assert_array_equal(np.asarray(out).reshape(-1),
                                       expected.reshape(-1))
+
+    def test_stale_stored_source_is_relowered(self, tmp_path):
+        # An artifact whose module differs from today's template (saved by
+        # an older build, manifest sha intact) must not be exec-loaded.
+        machine = Machine.cpu(PIECES)
+        B, c, a = make_workload()
+        compile_and_run(spmv_schedule(B, c, a), machine)
+        expected = np.array(a.to_dense(), copy=True)
+        store = ArtifactStore(tmp_path / "store")
+        store.put(B)
+        art_dir = store.root / store.entries()[-1]["dir"]
+        manifest = json.loads((art_dir / MANIFEST_NAME).read_text())
+        for meta in manifest["aot_modules"]:
+            mod = art_dir / meta["file"]
+            stale = mod.read_text().replace("ov[...] = 0.0", "ov[...] = 1.0")
+            assert stale != mod.read_text()
+            mod.write_text(stale)
+            meta["sha256"] = file_sha256(mod)
+            meta["bytes"] = mod.stat().st_size
+        (art_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+
+        clear_caches()
+        reset_codegen_stats()
+        B2, c2, a2 = make_workload()
+        s2 = spmv_schedule(B2, c2, a2)
+        store.load_latest(s2, machine)
+        stats = codegen_stats()
+        assert stats["store_seeded"] == 0
+        assert stats["store_stale"] == 1
+        assert _cache.lookup_aot(stable_fingerprint(s2, machine)) is None
+        compile_and_run(s2, machine)
+        assert codegen_stats()["lowered"] == 1
+        np.testing.assert_array_equal(a2.to_dense(), expected)

@@ -16,12 +16,16 @@ slice runs unmarked in the fast tier-1 loop; the full sweep carries the
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api.autoschedule import auto_schedule
 from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import clear_caches, compile_kernel
 from repro.legion import Machine, Runtime
-from test_differential import _KIND_FORMATS, _STRATEGIES, _build
+from repro.taco import CSR, Tensor, index_vars
+from test_differential import (
+    _KIND_FORMATS, _STRATEGIES, _build, _int_csr, _int_dense,
+)
 
 PIECES = 4
 
@@ -44,10 +48,11 @@ def _metrics_signature(rt: Runtime):
     return tuple(sig)
 
 
-def _run(kind, fmt, strategy, machine_kind, seed, backend, n, density):
+def _run(kind, fmt, strategy, machine_kind, seed, backend, n, density,
+         build=_build):
     clear_caches()
     rng = np.random.default_rng(seed)
-    out = _build(kind, fmt, rng, n, density)
+    out = build(kind, fmt, rng, n, density)
     machine = (
         Machine.gpu(PIECES) if machine_kind == "gpu" else Machine.cpu(PIECES)
     )
@@ -58,12 +63,13 @@ def _run(kind, fmt, strategy, machine_kind, seed, backend, n, density):
     return out.to_dense(), _metrics_signature(rt)
 
 
-def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2):
+def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2,
+           build=_build):
     ref, ref_sig = _run(kind, fmt, strategy, machine_kind, seed,
-                        "interp", n, density)
+                        "interp", n, density, build)
     reset_codegen_stats()
     got, got_sig = _run(kind, fmt, strategy, machine_kind, seed,
-                        "codegen", n, density)
+                        "codegen", n, density, build)
     stats = codegen_stats()
     assert stats["binds"] >= 1, (
         f"{kind}/{fmt}/{strategy}: codegen fell back to the interpreter "
@@ -117,6 +123,47 @@ SMOKE_CASES = [(k, f, s, "cpu", 4321) for k, f, s in _combos()]
 def test_codegen_backend_smoke(case):
     kind, fmt, strategy, machine_kind, seed = case
     _check(kind, fmt, strategy, machine_kind, seed)
+
+
+# --------------------------------------------------------------------------- #
+# pieces with rows but no non-zeros (R-MAT graphs, empty leading rows)
+# --------------------------------------------------------------------------- #
+def _empty_rows_builder(empty_rows):
+    """A CSR SpMV/SpMM builder whose B has no non-zeros in ``empty_rows``."""
+    def build(kind, fmt, rng, n, density):
+        keep = np.ones(n)
+        keep[empty_rows(n)] = 0.0
+        A = (sp.diags(keep) @ _int_csr(rng, n, n, density)).tocsr()
+        A.eliminate_zeros()
+        B = Tensor.from_scipy("B", A, CSR)
+        if kind == "spmv":
+            c = Tensor.from_dense("c", _int_dense(rng, (n,)))
+            out = Tensor.zeros("a", (n,))
+            i, j = index_vars("i j")
+            out[i] = B[i, j] * c[j]
+            return out
+        C = Tensor.from_dense("C", _int_dense(rng, (n, 5)))
+        out = Tensor.zeros("A", (n, 5))
+        i, kk, j = index_vars("i k j")
+        out[i, j] = B[i, kk] * C[kk, j]
+        return out
+    return build
+
+
+_EMPTY_ROWS = {
+    "leading-half": lambda n: slice(0, n // 2),
+    "all": lambda n: slice(0, n),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(_EMPTY_ROWS))
+@pytest.mark.parametrize("kind,strategy", [
+    ("spmv", "rows"), ("spmv", "nonzeros"),
+    ("spmm", "rows"), ("spmm", "grid"), ("spmm", "nonzeros"),
+])
+def test_codegen_pieces_without_nonzeros(kind, strategy, rows):
+    _check(kind, "csr", strategy, "cpu", 4321,
+           build=_empty_rows_builder(_EMPTY_ROWS[rows]))
 
 
 # --------------------------------------------------------------------------- #

@@ -128,6 +128,70 @@ class TestPackingCases:
         assert B.nbytes == 4 * 16 + 8 * 8 + 8 * 8  # pos rects + crd + vals
 
 
+def _regions(T):
+    arrays = []
+    for lvl in T.levels:
+        if not lvl.is_dense:
+            arrays += [lvl.pos.data, lvl.crd.data]
+    return arrays + [T.vals.data]
+
+
+def _assert_same_regions(a, b):
+    ra, rb = _regions(a), _regions(b)
+    assert len(ra) == len(rb)
+    for x, y in zip(ra, rb):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+class TestPackSortFastPath:
+    """Canonical input skips the sort; the regions must not notice."""
+
+    def canonical(self, seed=5):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(seed)
+        A = sp.random(40, 30, density=0.2, random_state=rng, format="csr")
+        # Integer values keep duplicate folding exact in any add order.
+        A.data = np.round(A.data * 8) - 3.0
+        A.sum_duplicates()
+        return A
+
+    def test_canonical_csr_matches_shuffled_coo(self):
+        A = self.canonical()
+        coo = A.tocoo()
+        perm = np.random.default_rng(1).permutation(coo.nnz)
+        fast = Tensor.from_scipy("B", A, CSR)
+        sorted_ = Tensor.from_coo(
+            "B", [coo.row[perm], coo.col[perm]], coo.data[perm], A.shape, CSR
+        )
+        _assert_same_regions(fast, sorted_)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_duplicates_fold_identically(self, shuffle):
+        A = self.canonical()
+        coo = A.tocoo()
+        # Split every value into two duplicate entries that sum back to it.
+        rows = np.repeat(coo.row, 2)
+        cols = np.repeat(coo.col, 2)
+        vals = np.repeat(coo.data, 2)
+        vals[0::2] = 1.0
+        vals[1::2] -= 1.0
+        if shuffle:
+            perm = np.random.default_rng(2).permutation(rows.size)
+            rows, cols, vals = rows[perm], cols[perm], vals[perm]
+        dup = Tensor.from_coo("B", [rows, cols], vals, A.shape, CSR)
+        _assert_same_regions(dup, Tensor.from_scipy("B", A, CSR))
+
+    def test_csc_storage_order_is_sorted_too(self):
+        A = self.canonical()
+        coo = A.tocoo()  # row-major: not sorted for CSC's column-first order
+        T = Tensor.from_coo("B", [coo.row, coo.col], coo.data, A.shape, CSC)
+        assert np.array_equal(T.to_dense(), A.toarray())
+        csc = A.tocsc()
+        assert T.levels[1].crd.data.tolist() == csc.indices.tolist()
+
+
 @st.composite
 def coo_tensors(draw):
     order = draw(st.integers(1, 3))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regression gate for the compile-once / run-many fast paths.
 
-Three gated scenarios, each compared against its most recent
+Seven gated scenarios, each compared against its most recent
 ``benchmarks/BENCH_<scenario>_*.json`` baseline:
 
 * **iterative** — the in-process amortization: the iterative-SpMV loop run
@@ -66,7 +66,7 @@ Three gated scenarios, each compared against its most recent
 
 Exits non-zero on regression.  Usage::
 
-    PYTHONPATH=src python tools/bench_check.py            # compare both
+    PYTHONPATH=src python tools/bench_check.py            # compare all seven
     PYTHONPATH=src python tools/bench_check.py --write    # (re)record baselines
     PYTHONPATH=src python tools/bench_check.py --scenario iterative
 """

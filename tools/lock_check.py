@@ -87,7 +87,7 @@ WATCH = {
         Rule(targets=("_machine_sigs",), lock="_SIG_LOCK"),
     ),
     "src/repro/codegen/registry.py": (
-        Rule(targets=("_counters", "_jit_state", "_inflight"), lock="_LOCK"),
+        Rule(targets=("_counters", "_inflight"), lock="_LOCK"),
     ),
     # The multi-tenant server: tensor catalog, pre-warmed session entries,
     # the single-flight map, per-tenant budget/stat records and the compile
