@@ -28,7 +28,6 @@ from .errors import (
     IllegalCSE,
     OOMError,
     ReproError,
-    SanitizerError,
     ScheduleError,
     ServingError,
     TenantBudgetError,
@@ -50,7 +49,6 @@ from .taco import (
 )
 from .legion import Machine
 from .core import compile_kernel, compile_program
-from .codegen import codegen_backend, codegen_stats, set_codegen_backend
 from .analysis import AnalysisReport, analyze_program, predict_metrics
 from .api import (
     AutotuneResult,
@@ -89,10 +87,6 @@ __all__ = [
     "analyze_program",
     "AnalysisReport",
     "predict_metrics",
-    # codegen backend knobs
-    "set_codegen_backend",
-    "codegen_backend",
-    "codegen_stats",
     # formats
     "Format",
     "CSR",
@@ -109,7 +103,6 @@ __all__ = [
     "IllegalCSE",
     "OOMError",
     "ReproError",
-    "SanitizerError",
     "ScheduleError",
     "ServingError",
     "TenantBudgetError",

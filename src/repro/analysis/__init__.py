@@ -1,6 +1,6 @@
-"""Static analysis over programs and stored artifacts.
+"""Static analysis over programs.
 
-Three coordinated layers (see ``docs/analysis.md``):
+Two coordinated layers (see ``docs/analysis.md``):
 
 * **privileges + hazards** — per-statement read/write privilege sets
   (tensor × mode, with the accumulate / assembled-output distinctions
@@ -8,9 +8,7 @@ Three coordinated layers (see ``docs/analysis.md``):
   ``WriteHazard`` / ``UnsupportedEinsum`` diagnostics;
 * **cse** — proven-safe common-subexpression collapse: the reuse map
   ``compile_program(cse=True)`` executes, plus ``IllegalCSE``
-  diagnostics explaining every blocked collapse;
-* **sanitizer** — the AST allowlist that guards every exec-load of
-  store-seeded AOT kernel source.
+  diagnostics explaining every blocked collapse.
 
 :func:`analyze_program` is the one-call entry; the high-level
 ``repro.Program.analyze()`` wraps it.
@@ -22,7 +20,7 @@ from typing import List, Optional, Sequence
 from ..core.passes import PassRecord, PipelinePlan, pipeline_plan
 from ..errors import (
     AnalysisError, IllegalCSE, IncoherentDistribution, MissingCommunicate,
-    RedundantCommunicate, SanitizerError, UnsupportedEinsum, WriteHazard,
+    RedundantCommunicate, UnsupportedEinsum, WriteHazard,
 )
 from .commplan import (
     CommPlan, MetricsSignature, commplan_diagnostics, communication_plan,
@@ -35,9 +33,6 @@ from .privileges import (
     StatementPrivileges, TensorUse, program_privileges, statement_privileges,
 )
 from .report import AnalysisReport, Diagnostic, Provenance
-from .sanitizer import (
-    ALLOWED_IMPORT_ROOTS, FORBIDDEN_NAMES, aot_trusted, verify_aot_source,
-)
 
 __all__ = [
     "AnalysisReport", "Diagnostic", "Provenance",
@@ -49,11 +44,8 @@ __all__ = [
     "CommPlan", "MetricsSignature", "predict_metrics", "communication_plan",
     "measured_signature", "commplan_diagnostics",
     "CostEstimate", "kernel_work_model", "predict_cost",
-    "aot_trusted", "verify_aot_source",
-    "ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
     "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",
-    "SanitizerError",
 ]
 
 

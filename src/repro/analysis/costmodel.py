@@ -30,6 +30,7 @@ from ..legion.machine import Work
 from ..legion.metrics import ExecutionMetrics
 from ..legion.network import Network
 from ..legion.runtime import Runtime
+from ..taco.tensor import CompressedLevel
 from .commplan import (
     CommPlan, MetricsSignature, WorkModel, _mirror_kernel, _plan_of,
     _seed_tdn_homes,
@@ -170,10 +171,18 @@ def kernel_work_model(ck) -> Tuple[WorkModel, bool]:
 
 
 def _fiber_work_model(ck) -> WorkModel:
-    from ..core.compiler import _fiber_arrays
-
     B = ck.roles["B"].tensor
-    pos2, _crd2, fibers_of_rows = _fiber_arrays(B)
+    pos2 = B.levels[2].pos.data
+    lvl1 = B.levels[1]
+    csf = isinstance(lvl1, CompressedLevel)
+    pos1 = lvl1.pos.data if csf else None
+    n1 = None if csf else lvl1.size
+
+    def fibers_of_rows(r0: int, r1: int) -> Tuple[int, int]:
+        if csf:
+            return int(pos1[r0, 0]), int(pos1[r1, 1])
+        return r0 * n1, (r1 + 1) * n1 - 1
+
     kind, strategy = ck.kind, ck.strategy
     if kind == "spttv":
 
@@ -207,12 +216,6 @@ def _fiber_work_model(ck) -> WorkModel:
 
     # spmttkrp
     l = ck.roles["C"].tensor.shape[1]
-    lvl1 = B.levels[1]
-    from ..taco.tensor import CompressedLevel
-
-    csf = isinstance(lvl1, CompressedLevel)
-    pos1 = lvl1.pos.data if csf else None
-    n1 = None if csf else lvl1.size
 
     def i_of_fiber(f: int) -> int:
         return _row_of(pos1[:, 0], f) if csf else f // n1

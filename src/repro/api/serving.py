@@ -5,9 +5,9 @@ synthesis, autotuning and mapping-trace replay amortize across executions.
 A single :class:`~repro.api.session.Session` reaps that for one caller;
 this module multiplexes *many* callers — logical tenants issuing
 einsum-style requests concurrently — over a pool of pre-warmed runtimes
-that share the process-wide kernel cache, partition memo, decision table
-and AOT module registry (all thread-safe; see the thread-safety notes in
-:mod:`repro.core.cache` and :mod:`repro.codegen.registry`)::
+that share the process-wide kernel cache, partition memo and decision
+table (all thread-safe; see the thread-safety notes in
+:mod:`repro.core.cache`)::
 
     import repro
 
@@ -25,8 +25,8 @@ Three mechanisms make the multiplexing safe and cheap:
   (and, in tuned mode, runs the full :meth:`Session.autotune` search)
   exactly once while every concurrent identical request waits on the
   leader's event and then shares the built entry.  N tenants asking for
-  the same SpMV lower and tune **once** — the dedup the serving bench
-  gate asserts via cache and AotEntry counters.
+  the same SpMV compile and tune **once** — the dedup the serving bench
+  gate asserts via the kernel-cache miss counter.
 
 * **Per-entry execution serialization** — each distinct request signature
   owns one output tensor and one compiled kernel; executions of that
@@ -37,8 +37,8 @@ Three mechanisms make the multiplexing safe and cheap:
 
 * **Tenant byte budgets with admission control** — every tenant carries a
   compile-cache budget; the build leader's tenant is charged the
-  estimated bytes its new kernel (and generated AOT source) pin in the
-  shared caches.  A tenant at or over budget is refused at admission
+  estimated bytes its new kernel pins in the shared caches.  A tenant at
+  or over budget is refused at admission
   (:class:`~repro.errors.TenantBudgetError`) until the operator raises
   its budget — cache hits cost nothing, so steady-state tenants keep
   flowing while a tenant flooding distinct compiles is shed.
@@ -166,7 +166,6 @@ class Server:
         nodes: Optional[int] = None,
         gpus: Optional[int] = None,
         workers: int = 4,
-        backend: Optional[str] = None,
         tune: bool = False,
         trials: int = 2,
         default_budget_bytes: Optional[int] = None,
@@ -197,7 +196,7 @@ class Server:
         # store handle) per worker, all over the same Machine object so
         # structural signatures — and therefore cache keys — coincide.
         self._sessions = [
-            Session(machine=self.machine, backend=backend, store=store)
+            Session(machine=self.machine, store=store)
             for _ in range(workers)
         ]
         # Key-affinity dispatch: every request key hashes to one owning
@@ -501,19 +500,15 @@ class Server:
                            req.out_format)
         asg = Assignment(Access(out, tuple(ivars[ch] for ch in out_sub)), rhs)
 
-        aot_before = _cache.cache_stats()["aot_bytes"]
         strategy = None
         if req.tune:
             res = session.autotune(asg, trials=self.trials, warm=False)
             kernel, strategy = res.kernel, res.strategy
         else:
             kernel = session.compile_kernel(asg)
-        aot_after = _cache.cache_stats()["aot_bytes"]
-        compile_bytes = (_cache.kernel_entry_nbytes(kernel)
-                         + max(0, aot_after - aot_before))
         return _Entry(
             key=req.key, assignment=asg, out=out, kernel=kernel,
-            compile_bytes=compile_bytes, strategy=strategy,
+            compile_bytes=_cache.kernel_entry_nbytes(kernel), strategy=strategy,
         )
 
     def _charge(self, tenant: str, entry: _Entry) -> None:

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import codegen as _codegen
 from ..core import cache as _cache
 from ..core.compiler import CompiledKernel, ExecutionResult
 from ..core.program import CompiledProgram, ProgramResult, compile_program
@@ -126,7 +125,6 @@ class Session:
         partition_cache_bytes: Optional[int] = None,
         trace_replay: Optional[bool] = None,
         metrics_limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         if runtime is not None:
             # Adopt an existing runtime (e.g. one restored from the
@@ -171,10 +169,6 @@ class Session:
         if kernel_cache_bytes is not None or partition_cache_bytes is not None:
             self._saved_budgets = _cache.cache_budgets()
             _cache.set_cache_budget(kernel_cache_bytes, partition_cache_bytes)
-        #: Leaf-execution backend for this session's compiles: "interp",
-        #: "codegen", or None to follow the process-wide codegen default.
-        #: Validated eagerly so a typo fails at session construction.
-        self.backend = _codegen.resolve_backend(backend) if backend is not None else None
         self._pending = None  # implicit Program fed by define()
         #: Content-keyed packing memo (see :meth:`packed_operand`): digest
         #: of the raw operand → the packed Tensor, so repeated calls over
@@ -340,8 +334,7 @@ class Session:
 
     def compile(self, *targets: Schedulable, use_cache: bool = True,
                 cse: bool = True, fold: bool = True, dse: bool = True,
-                fuse: bool = True, keep=None,
-                backend: Optional[str] = None) -> CompiledProgram:
+                fuse: bool = True, keep=None) -> CompiledProgram:
         """Compile one or more statements together as a program.
 
         Each target is a :class:`Schedule` (explicit mapping), an
@@ -352,22 +345,17 @@ class Session:
         operands' partitions are derived once across the program, and
         with ``cse`` (default) identical repeated statements execute once
         per pass (see :func:`repro.core.program.compile_program`).
-        ``backend`` overrides the session's leaf-execution backend for
-        this compile ("interp"/"codegen"; see :mod:`repro.codegen`).
         """
         schedules = [self.schedule_for(t) for t in targets]
         return compile_program(
             schedules, self.machine, use_cache=use_cache, cse=cse,
             fold=fold, dse=dse, fuse=fuse, keep=keep,
-            backend=backend if backend is not None else self.backend,
         )
 
-    def compile_kernel(self, target: Schedulable, *, use_cache: bool = True,
-                       backend: Optional[str] = None) -> CompiledKernel:
+    def compile_kernel(self, target: Schedulable, *,
+                       use_cache: bool = True) -> CompiledKernel:
         """Compile a single statement to its :class:`CompiledKernel`."""
-        return self.compile(
-            target, use_cache=use_cache, backend=backend
-        ).kernels[0]
+        return self.compile(target, use_cache=use_cache).kernels[0]
 
     def execute(self, target, *, fresh_trial: bool = True) -> ExecutionResult:
         """Compile (if needed) and run one statement on the session runtime.

@@ -11,8 +11,8 @@ from .harness import (
     spdistal_spttv,
 )
 from .baseline_runners import ctf_run, petsc_run, trilinos_run
-from .codegenbench import CodegenBenchParams, CodegenBenchResult, run_codegen_bench
 from .iterative import IterativeResult, run_iterative_spmv
+from .leavesbench import LeavesBenchParams, LeavesBenchResult, run_leaves_bench
 from .warmstart import WarmstartParams, WarmstartResult, run_warmstart
 from .reporting import format_heatmap, format_scaling, format_table, geomean
 from . import figures
@@ -23,8 +23,8 @@ __all__ = [
     "spdistal_sddmm", "spdistal_spadd3", "spdistal_spmm",
     "spdistal_spmttkrp", "spdistal_spmv", "spdistal_spttv",
     "ctf_run", "petsc_run", "trilinos_run",
-    "CodegenBenchParams", "CodegenBenchResult", "run_codegen_bench",
     "IterativeResult", "run_iterative_spmv",
+    "LeavesBenchParams", "LeavesBenchResult", "run_leaves_bench",
     "WarmstartParams", "WarmstartResult", "run_warmstart",
     "format_heatmap", "format_scaling", "format_table", "geomean",
     "figures",

@@ -2,7 +2,7 @@
 
 The multi-tenant :class:`~repro.api.serving.Server` exists to amortize
 SpDISTAL's compile/tune work *across* callers: one shared kernel cache,
-partition memo, decision table and AOT registry serve every tenant, and
+partition memo and decision table serve every tenant, and
 single-flight dedup makes N identical concurrent requests pay for one
 build.  This scenario measures exactly that claim under a mixed-kernel
 open-loop load — each of ``tenants`` logical tenants submits a rotation
@@ -17,8 +17,9 @@ Contracts checked unconditionally (a break fails regardless of baseline):
 
 * **dedup-to-one** — across all tenants, the server builds exactly one
   entry per distinct request signature (``Server.compiles ==`` distinct
-  requests) and the AOT registry's ``lowered`` counter shows no
-  double-lowering under the concurrent herd;
+  requests) and the herd's kernel-cache misses
+  (``cache_stats()["kernel_misses"]``) are no more than one isolated
+  tenant's — no double compile under the concurrent herd;
 * **bit-identical results** — every response equals the serial
   single-session reference exactly (``np.array_equal``, no tolerance);
 * **no admission rejections** — the default (unbudgeted) load must never
@@ -46,8 +47,7 @@ import numpy as np
 from ..api.einsum import einsum
 from ..api.serving import Server
 from ..api.session import Session
-from ..codegen import codegen_stats, reset_codegen_stats
-from ..core import clear_caches
+from ..core import cache_stats, clear_caches
 from ..taco.formats import CSR
 from ..taco.tensor import Tensor
 from .models import default_config
@@ -106,8 +106,8 @@ class ServingBenchResult:
     total_requests: int = 0
     distinct_requests: int = 0
     server_compiles: int = 0
-    lowered: int = 0  # AOT registry lowering count under the herd
-    serial_lowered: int = 0  # same count for ONE isolated tenant
+    kernel_misses: int = 0  # kernel-cache misses under the herd
+    serial_kernel_misses: int = 0  # same count for ONE isolated tenant
     values_bit_identical: bool = False
     rejections: int = 0
 
@@ -136,7 +136,7 @@ class ServingBenchResult:
     def deduplicated(self) -> bool:
         """Compile/tune work collapsed to one build per distinct request."""
         return (self.server_compiles == self.distinct_requests
-                and 0 < self.lowered <= self.serial_lowered)
+                and 0 < self.kernel_misses <= self.serial_kernel_misses)
 
 
 def _operands(p: ServingBenchParams) -> Dict[str, np.ndarray]:
@@ -194,14 +194,14 @@ def _run_serial_isolated(p: ServingBenchParams, machine, data
 
     Caches are cleared per tenant — the pre-serving world where tenants
     cannot share a warm process — and each replays its request rotation
-    serially on a private session.  Returns (total wall seconds, the AOT
-    ``lowered`` count of the *first* tenant — the per-tenant build bill).
+    serially on a private session.  Returns (total wall seconds, the
+    kernel-cache misses of the *first* tenant — the per-tenant build bill).
     """
     total = 0.0
-    first_lowered = 0
+    first_misses = 0
     for tenant in range(p.tenants):
         clear_caches()
-        reset_codegen_stats()
+        misses_before = cache_stats()["kernel_misses"]
         t0 = time.perf_counter()  # nondet: ok measures host serving overhead, not simulated time
         with Session(machine=machine) as s:
             packed = _pack(s, data)
@@ -211,8 +211,8 @@ def _run_serial_isolated(p: ServingBenchParams, machine, data
                          f"t{tenant}r{r}")
         total += time.perf_counter() - t0  # nondet: ok measures host serving overhead, not simulated time
         if tenant == 0:
-            first_lowered = codegen_stats()["lowered"]
-    return total, first_lowered
+            first_misses = cache_stats()["kernel_misses"] - misses_before
+    return total, first_misses
 
 
 def run_serving_bench(
@@ -229,11 +229,11 @@ def run_serving_bench(
     data = _operands(p)
 
     reference = _serial_reference(p, machine, data)
-    serial_wall, serial_lowered = _run_serial_isolated(p, machine, data)
+    serial_wall, serial_misses = _run_serial_isolated(p, machine, data)
 
     # The serving leg: one shared substrate, tenants submit concurrently.
     clear_caches()
-    reset_codegen_stats()
+    misses_before = cache_stats()["kernel_misses"]
     results: List = []
     errors: List[BaseException] = []
     lock = threading.Lock()
@@ -272,7 +272,7 @@ def run_serving_bench(
             raise errors[0]
         server_compiles = srv.compiles
         rejections = sum(v.rejected for v in srv.tenant_stats().values())
-    lowered = codegen_stats()["lowered"]
+    kernel_misses = cache_stats()["kernel_misses"] - misses_before
 
     distinct = len({(label, tuple(names), sparse_out)
                     for tenant in range(p.tenants)
@@ -287,8 +287,8 @@ def run_serving_bench(
         total_requests=len(results),
         distinct_requests=distinct,
         server_compiles=server_compiles,
-        lowered=lowered,
-        serial_lowered=serial_lowered,
+        kernel_misses=kernel_misses,
+        serial_kernel_misses=serial_misses,
         values_bit_identical=values_ok,
         rejections=rejections,
     )
@@ -310,8 +310,8 @@ def write_serving_report(result: ServingBenchResult, directory) -> Path:
         "total_requests": result.total_requests,
         "distinct_requests": result.distinct_requests,
         "server_compiles": result.server_compiles,
-        "lowered": result.lowered,
-        "serial_lowered": result.serial_lowered,
+        "kernel_misses": result.kernel_misses,
+        "serial_kernel_misses": result.serial_kernel_misses,
         "values_bit_identical": result.values_bit_identical,
         "rejections": result.rejections,
     }

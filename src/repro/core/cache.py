@@ -102,9 +102,6 @@ __all__ = [
     "decision_fingerprint",
     "lookup_decision",
     "store_decision",
-    "lookup_aot",
-    "store_aot",
-    "iter_aot_entries",
     "iter_kernel_entries",
     "iter_partition_entries",
     "iter_decision_entries",
@@ -126,14 +123,11 @@ _KERNEL_CACHE_BUDGET = 64 * MiB
 _PARTITION_CACHE_BUDGET = 128 * MiB
 #: Autotune decisions are a few hundred bytes each; 1 MiB holds thousands.
 _DECISION_CACHE_BUDGET = 1 * MiB
-#: Generated AOT modules are a few KiB of source plus one exec'd module.
-_AOT_CACHE_BUDGET = 8 * MiB
 #: Entry-count backstops so a flood of tiny entries cannot balloon the
 #: key/bookkeeping overhead past the byte accounting.
 _KERNEL_CACHE_MAX_ENTRIES = 512
 _PARTITION_CACHE_MAX_ENTRIES = 4096
 _DECISION_CACHE_MAX_ENTRIES = 4096
-_AOT_CACHE_MAX_ENTRIES = 512
 
 _enabled = True
 
@@ -229,7 +223,6 @@ class _SizedLRU:
 _kernel_cache = _SizedLRU(_KERNEL_CACHE_BUDGET, _KERNEL_CACHE_MAX_ENTRIES)
 _partition_cache = _SizedLRU(_PARTITION_CACHE_BUDGET, _PARTITION_CACHE_MAX_ENTRIES)
 _decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
-_aot_cache = _SizedLRU(_AOT_CACHE_BUDGET, _AOT_CACHE_MAX_ENTRIES)
 
 
 # --------------------------------------------------------------------------- #
@@ -656,34 +649,6 @@ def iter_decision_entries() -> Iterator[Tuple[str, Dict[str, Any]]]:
 
 
 # --------------------------------------------------------------------------- #
-# AOT generated-module cache
-# --------------------------------------------------------------------------- #
-def lookup_aot(key: str):
-    """The cached :class:`~repro.codegen.registry.AotEntry` for a stable
-    fingerprint digest, or None."""
-    if not _enabled:
-        return None
-    return _aot_cache.get(key)
-
-
-def store_aot(key: str, entry, nbytes: Optional[int] = None) -> None:
-    """Cache one generated AOT module entry under its stable fingerprint."""
-    if not _enabled:
-        return
-    if nbytes is None:
-        nbytes = len(getattr(entry, "source", "")) + 512
-    _aot_cache.put(key, entry, nbytes)
-
-
-def iter_aot_entries() -> Iterator[Tuple[str, Any]]:
-    """Yield every live AOT entry as ``(fingerprint, entry)`` (LRU order).
-    Keys are process-independent digests, so :mod:`repro.core.store`
-    persists the generated source verbatim — no re-keying on load."""
-    for key, entry in _aot_cache.items():
-        yield key, entry
-
-
-# --------------------------------------------------------------------------- #
 # invalidation hooks
 # --------------------------------------------------------------------------- #
 def invalidate_tensor(tensor) -> int:
@@ -704,7 +669,6 @@ def clear_caches() -> None:
     _kernel_cache.clear()
     _partition_cache.clear()
     _decision_cache.clear()
-    _aot_cache.clear()
 
 
 def cache_stats() -> Dict[str, int]:
@@ -724,9 +688,7 @@ def cache_stats() -> Dict[str, int]:
         "decision_misses": _decision_cache.misses,
         "decision_bytes": _decision_cache.total_bytes,
         "decision_evictions": _decision_cache.evictions,
-        "aot_entries": len(_aot_cache),
-        "aot_hits": _aot_cache.hits,
-        "aot_misses": _aot_cache.misses,
-        "aot_bytes": _aot_cache.total_bytes,
-        "aot_evictions": _aot_cache.evictions,
+        # Always 0: kept for readers that still sum a per-tier
+        # "aot_bytes" (perfbench/run.py's traced run).
+        "aot_bytes": 0,
     }

@@ -13,8 +13,9 @@ Fig. 9a.  For each distributed index variable it
    (``partitionRemainingCoordinateTrees``),
 3. emits a distributed loop passing each piece its sub-regions
    (``emitDistributedForLoop``) — realized as a Legion index launch whose
-   leaf is selected from ``repro.kernels`` by matching the scheduled
-   statement.
+   leaf is the specialized ``repro.kernels`` leaf bound by
+   :func:`repro.codegen.leaf_for` for the matched statement, or the
+   generic COO engine.
 
 The result is a :class:`CompiledKernel` that can be executed repeatedly on a
 :class:`~repro.legion.runtime.Runtime`, producing both the numerical result
@@ -27,6 +28,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import codegen as _codegen
 from ..errors import CompileError
 from ..legion.machine import Machine, Work
 from ..legion.metrics import CommEvent, ExecutionMetrics
@@ -36,7 +38,7 @@ from ..taco.expr import Access, Add, Assignment, Mul
 from ..taco.index_vars import IndexVar
 from ..taco.reference import var_sizes
 from ..taco.schedule import ParallelUnit, Schedule
-from ..taco.tensor import CompressedLevel, Tensor
+from ..taco.tensor import Tensor
 from .. import kernels as K
 from . import cache as _cache
 from .assembly import adopt_pattern, install_assembled_output, pattern_source
@@ -93,6 +95,9 @@ def classify(asg: Assignment) -> KernelClass:
     if len(sparse) != 1:
         return KernelClass("generic")
     B = sparse[0]
+    if _codegen.format_class(B.tensor) is None:
+        # No specialized leaf reads this layout (e.g. CSC's permuted modes).
+        return KernelClass("generic")
     bi = B.indices
     if B.tensor.order == 2 and len(dense) == 1 and len(operands) == 2:
         d = dense[0]
@@ -193,13 +198,7 @@ class CompiledKernel:
         self.operands = operands
         self.out = schedule.assignment.lhs.tensor
         self._runtime: Optional[Runtime] = None
-        #: execution backend: "interp" (closure leaves over repro.kernels)
-        #: or "codegen" (AOT-generated flat thunks, interpreter fallback
-        #: where unsupported).  Set by ``compile_statement``.
-        self.backend: str = "interp"
         self._leaf: Optional[Callable[[Piece], Work]] = None
-        #: backend the current ``_leaf`` was built for (rebuild on change).
-        self._leaf_backend: Optional[str] = None
         self._streamed: set = set()
         self._spadd_reqs: Optional[List[RegionReq]] = None
 
@@ -214,14 +213,10 @@ class CompiledKernel:
         raw NumPy views and is rebuilt lazily on the first execute)."""
         state = self.__dict__.copy()
         state["_leaf"] = None
-        state["_leaf_backend"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Kernels pickled before the codegen backend existed lack the knob.
-        self.__dict__.setdefault("backend", "interp")
-        self.__dict__.setdefault("_leaf_backend", None)
         # ``parts``/``privileges``/``_streamed`` key on id(tensor); ids
         # changed across the pickle boundary.  Every partition carries its
         # tensor, so re-key from the old ids to the unpickled identities.
@@ -335,7 +330,7 @@ class CompiledKernel:
         )
 
     def _execute_compute(self, rt: Runtime) -> None:
-        if self._leaf is None or self._leaf_backend != self.backend:
+        if self._leaf is None:
             # Write targets must be promoted before the leaf captures their
             # arrays: a leaf closure over a read-only mmap-backed region
             # (load_packed(..., mmap=True)) would crash on its first write,
@@ -343,13 +338,10 @@ class CompiledKernel:
             for t_id, part in self.parts.items():
                 if self.privileges.get(t_id, Privilege.READ_ONLY) != Privilege.READ_ONLY:
                     part.tensor.ensure_writable()
-            leaf = None
-            if self.backend == "codegen":
-                from .. import codegen as _codegen  # lazy: avoids import cycle
-
-                leaf = _codegen.leaf_for(self)
-            self._leaf = leaf if leaf is not None else _build_leaf(self)
-            self._leaf_backend = self.backend
+            if self.kind == "generic":
+                self._leaf = _build_generic_leaf(self)
+            else:
+                self._leaf = _codegen.leaf_for(self)
         if self._needs_zero():
             self.out.vals.fill(0.0)
         by_color = {p.color: p for p in self.pieces}
@@ -461,7 +453,6 @@ def compile_kernel(
     machine: Optional[Machine] = None,
     *,
     use_cache: bool = True,
-    backend: Optional[str] = None,
 ) -> CompiledKernel:
     """Compile a scheduled statement for a machine (Fig. 9a).
 
@@ -481,9 +472,7 @@ def compile_kernel(
     """
     from .program import compile_program
 
-    return compile_program(
-        [schedule], machine, use_cache=use_cache, backend=backend
-    ).kernels[0]
+    return compile_program([schedule], machine, use_cache=use_cache).kernels[0]
 
 
 def compile_statement(
@@ -491,31 +480,18 @@ def compile_statement(
     machine: Optional[Machine] = None,
     *,
     use_cache: bool = True,
-    backend: Optional[str] = None,
 ) -> CompiledKernel:
     """Compile one scheduled statement (the cache-aware single-statement
     engine behind :func:`compile_kernel` and
     :func:`repro.core.program.compile_program`).
-
-    ``backend`` selects how leaves execute: ``"codegen"`` (the default,
-    via :mod:`repro.codegen`) runs AOT-generated flat thunks where a
-    lowering template exists and falls back to the interpreter elsewhere;
-    ``"interp"`` forces the closure leaves.  The knob only retargets the
-    kernel's leaf — partitions, launches and simulated metrics are
-    identical either way.
     """
-    from .. import codegen as _codegen  # lazy: avoids import cycle
-
-    backend = _codegen.resolve_backend(backend)
     if machine is None:
         machine = Machine.cpu(1)
     if not use_cache:
         # The full seed path: bypass the partition memo too, so measured
         # uncached compiles really re-derive every coordinate-tree partition.
         with _cache.caches_disabled():
-            ck = _compile_uncached(schedule, machine)
-            ck.backend = backend
-            return ck
+            return _compile_uncached(schedule, machine)
     if _cache.caches_enabled():
         try:
             key = _cache.kernel_fingerprint(schedule, machine)
@@ -527,19 +503,15 @@ def compile_statement(
             # handed to a caller that didn't ask for streaming — recompile
             # (the fresh kernel then replaces the mutated entry).
             if hit is not None and not hit._streamed:
-                hit.backend = backend
                 return hit
             ck = _compile_uncached(schedule, machine)
-            ck.backend = backend
             # Compilation may adopt an input's pattern into the output
             # (bumping its version), so store under the post-compile
             # fingerprint — the one the next lookup will compute.
             post = _cache.kernel_fingerprint(schedule, machine)
             _cache.store_kernel(post, ck, schedule.assignment.tensors())
             return ck
-    ck = _compile_uncached(schedule, machine)
-    ck.backend = backend
-    return ck
+    return _compile_uncached(schedule, machine)
 
 
 def _compile_uncached(schedule: Schedule, machine: Machine) -> CompiledKernel:
@@ -861,159 +833,8 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
 
 
 # --------------------------------------------------------------------------- #
-# leaf selection
+# the generic leaf (specialized kinds bind theirs through repro.codegen)
 # --------------------------------------------------------------------------- #
-def _build_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    kind, strategy = ck.kind, ck.strategy
-    asg = ck.schedule.assignment
-    out = ck.out
-    if kind == "spmv":
-        B = ck.roles["B"].tensor
-        c = ck.roles["c"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.vals.data
-        if strategy == "nonzeros":
-            return lambda p: K.spmv_nonzeros(pos, crd, vals, c, o, p.pos[0], p.pos[1])
-        return lambda p: K.spmv_rows(pos, crd, vals, c, o, p.rows[0], p.rows[1])
-    if kind == "spmm":
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.dense_array()
-        if strategy == "nonzeros":
-            return lambda p: K.spmm_nonzeros(pos, crd, vals, C, o, p.pos[0], p.pos[1])
-
-        def spmm_piece(p: Piece) -> Work:
-            if p.cols is not None:
-                c0, c1 = p.cols
-                return K.spmm_rows(
-                    pos, crd, vals, C[:, c0 : c1 + 1], o[:, c0 : c1 + 1],
-                    p.rows[0], p.rows[1],
-                )
-            return K.spmm_rows(pos, crd, vals, C, o, p.rows[0], p.rows[1])
-
-        return spmm_piece
-    if kind == "sddmm":
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        ov = out.vals.data
-        if strategy == "nonzeros":
-            return lambda p: K.sddmm_nonzeros(pos, crd, vals, C, D, ov, p.pos[0], p.pos[1])
-        return lambda p: K.sddmm_rows(pos, crd, vals, C, D, ov, p.rows[0], p.rows[1])
-    if kind == "fused_sddmm_spmm":
-        # Synthesized by the pass pipeline (repro.core.passes): the SDDMM
-        # product is computed into a scratch values array private to the
-        # leaf and consumed immediately by the SpMM phase — it is never a
-        # region, never placed, never communicated.
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        F = ck.roles["F"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.dense_array()
-        scratch = np.zeros_like(vals)
-        if strategy == "nonzeros":
-            def fused_nonzeros(p: Piece) -> Work:
-                w1 = K.sddmm_nonzeros(pos, crd, vals, C, D, scratch, p.pos[0], p.pos[1])
-                w2 = K.spmm_nonzeros(pos, crd, scratch, F, o, p.pos[0], p.pos[1])
-                return w1 + w2
-
-            return fused_nonzeros
-
-        def fused_rows(p: Piece) -> Work:
-            if p.rows[1] < p.rows[0]:
-                return Work.zero()
-            w1 = K.sddmm_rows(pos, crd, vals, C, D, scratch, p.rows[0], p.rows[1])
-            w2 = K.spmm_rows(pos, crd, scratch, F, o, p.rows[0], p.rows[1])
-            return w1 + w2
-
-        return fused_rows
-    if kind == "spttv":
-        return _build_spttv_leaf(ck)
-    if kind == "spmttkrp":
-        return _build_spmttkrp_leaf(ck)
-    if kind == "generic":
-        return _build_generic_leaf(ck)
-    raise CompileError(f"no leaf kernel for {kind}/{strategy}")
-
-
-def _fiber_arrays(B: Tensor):
-    """(pos2, crd2, fiber-range-of-rows fn) for CSF3 or DDC 3-tensors."""
-    lvl2 = B.levels[2]
-    if not isinstance(lvl2, CompressedLevel):
-        raise CompileError("3-tensor kernels need a compressed last level")
-    pos2, crd2 = lvl2.pos.data, lvl2.crd.data
-    lvl1 = B.levels[1]
-    if isinstance(lvl1, CompressedLevel):
-        pos1 = lvl1.pos.data
-
-        def fibers_of_rows(r0: int, r1: int) -> Bounds:
-            return int(pos1[r0, 0]), int(pos1[r1, 1])
-
-    else:
-        n1 = lvl1.size
-
-        def fibers_of_rows(r0: int, r1: int) -> Bounds:
-            return r0 * n1, (r1 + 1) * n1 - 1
-
-    return pos2, crd2, fibers_of_rows
-
-
-def _build_spttv_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    B = ck.roles["B"].tensor
-    c = ck.roles["c"].tensor.dense_array()
-    pos2, crd2, fibers_of_rows = _fiber_arrays(B)
-    vals = B.vals.data
-    ov = ck.out.vals.data.reshape(-1)
-    if ck.strategy == "nonzeros":
-        return lambda p: K.spttv_nonzeros(pos2, crd2, vals, c, ov, p.pos[0], p.pos[1])
-
-    def rows_piece(p: Piece) -> Work:
-        if p.rows[1] < p.rows[0]:
-            return Work.zero()
-        f0, f1 = fibers_of_rows(p.rows[0], p.rows[1])
-        return K.spttv_fibers(pos2, crd2, vals, c, ov, f0, f1)
-
-    return rows_piece
-
-
-def _build_spmttkrp_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    B = ck.roles["B"].tensor
-    C = ck.roles["C"].tensor.dense_array()
-    D = ck.roles["D"].tensor.dense_array()
-    pos2, crd2, fibers_of_rows = _fiber_arrays(B)
-    vals = B.vals.data
-    o = ck.out.dense_array()
-    lvl1 = B.levels[1]
-    csf = isinstance(lvl1, CompressedLevel)
-    if csf:
-        pos1, crd1 = lvl1.pos.data, lvl1.crd.data
-
-    def run(p0: int, p1: int, accumulate: bool) -> Work:
-        if csf:
-            return K.spmttkrp_csf(
-                pos1, crd1, pos2, crd2, vals, C, D, o, p0, p1, accumulate=accumulate
-            )
-        return K.spmttkrp_ddc(
-            lvl1.size, pos2, crd2, vals, C, D, o, p0, p1, accumulate=accumulate
-        )
-
-    if ck.strategy == "nonzeros":
-        return lambda p: run(p.pos[0], p.pos[1], True)
-
-    def rows_piece(p: Piece) -> Work:
-        if p.rows[1] < p.rows[0]:
-            return Work.zero()
-        f0, f1 = fibers_of_rows(p.rows[0], p.rows[1])
-        if f1 < f0:
-            return Work.zero()
-        return run(int(pos2[f0, 0]), int(pos2[f1, 1]), False)
-
-    return rows_piece
-
-
 def _build_generic_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
     """Fallback: the generic COO engine per piece (paper: full generality)."""
     asg = ck.schedule.assignment

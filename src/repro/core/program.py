@@ -229,7 +229,6 @@ def compile_program(
     dse: bool = True,
     fuse: bool = True,
     keep=None,
-    backend: Optional[str] = None,
 ) -> CompiledProgram:
     """Compile scheduled statements together into a :class:`CompiledProgram`.
 
@@ -250,8 +249,6 @@ def compile_program(
     passes fired — with statement provenance — is reported by
     ``CompiledProgram.passes`` and :meth:`CompiledProgram.describe`.
     An empty program is an error — there is nothing to compile.
-    ``backend`` is forwarded to every statement compile (None picks the
-    process-wide codegen default; see :mod:`repro.codegen`).
     """
     if not schedules:
         raise ValueError("compile_program needs at least one scheduled statement")
@@ -261,7 +258,7 @@ def compile_program(
         schedules, machine, fold=fold, dse=dse, fuse=fuse, keep=keep
     )
     kernels = [
-        compile_statement(s, machine, use_cache=use_cache, backend=backend)
+        compile_statement(s, machine, use_cache=use_cache)
         for s in plan.schedules
     ]
     reused_from = (

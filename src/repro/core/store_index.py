@@ -66,8 +66,7 @@ try:  # POSIX advisory locks; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-from ..analysis.sanitizer import verify_aot_source
-from ..errors import SanitizerError, StoreError, StoreFormatError
+from ..errors import StoreError, StoreFormatError
 from .store import (
     MANIFEST_NAME,
     PackedArtifact,
@@ -307,10 +306,6 @@ class ArtifactStore:
         for rmeta in manifest["regions"]:
             files.append((art_dir / rmeta["file"], rmeta["sha256"],
                           rmeta["bytes"]))
-        aot_modules = manifest.get("aot_modules", [])
-        for ameta in aot_modules:
-            files.append((art_dir / ameta["file"], ameta["sha256"],
-                          ameta["bytes"]))
         objects = []
         for path, sha, nbytes in files:
             self._dedup_file(idx, path, sha, nbytes)
@@ -327,9 +322,6 @@ class ArtifactStore:
             "content_hash": content_hash,
             "keys": all_keys,
             "objects": objects,
-            # AOT generated-module count: gc pins the newest holder of a
-            # live fp: key when it carries generated source (see _gc_locked).
-            "aot": len(aot_modules),
         }
         for key in all_keys:
             idx["keys"].setdefault(key, []).append(aid)
@@ -441,24 +433,9 @@ class ArtifactStore:
                 key=lambda a: idx["artifacts"][a]["seq"],
                 default=None,
             )
-            # Pin the newest surviving holder of every live fp: key that
-            # carries AOT generated modules: that artifact is what resolves
-            # the fingerprint, and evicting it would pull the generated
-            # source out from under a persisted kernel-cache entry.
-            pinned: set = set()
-            for key, entries in idx["keys"].items():
-                if not key.startswith("fp:"):
-                    continue
-                holder = next(
-                    (a for a in reversed(entries) if a not in doomed), None
-                )
-                if holder is not None and int(
-                    idx["artifacts"][holder].get("aot", 0)
-                ):
-                    pinned.add(holder)
             by_lru = sorted(
                 (a for a in idx["artifacts"]
-                 if a not in doomed and a != newest and a not in pinned),
+                 if a not in doomed and a != newest),
                 key=lambda a: (idx["artifacts"][a]["last_used"],
                                idx["artifacts"][a]["seq"]),
             )
@@ -551,11 +528,9 @@ class ArtifactStore:
 
         Every key entry must resolve to an indexed artifact; every indexed
         artifact must exist on disk with a valid manifest, its payload, and
-        its declared content hash; every AOT module sidecar must match its
-        manifest sha256 *and* pass the generated-module AST sanitizer
-        (:func:`repro.analysis.sanitizer.verify_aot_source`); every object
-        reference must resolve to a blob of the declared size with an
-        accurate reference count; and no orphaned blobs or artifact
+        its declared content hash; every object reference must resolve to a
+        blob of the declared size whose content matches its sha256 name, with
+        an accurate reference count; and no orphaned blobs or artifact
         directories may remain.
         """
         problems: List[str] = []
@@ -586,26 +561,6 @@ class ArtifactStore:
                 sidecar = art_dir / rmeta["file"]
                 if not sidecar.exists():
                     problems.append(f"artifact {aid}: missing sidecar {rmeta['file']}")
-            for ameta in manifest.get("aot_modules", ()):
-                module = art_dir / ameta["file"]
-                if not module.exists():
-                    problems.append(
-                        f"artifact {aid}: missing aot module {ameta['file']}"
-                    )
-                    continue
-                declared = ameta.get("sha256")
-                if declared and file_sha256(module) != declared:
-                    problems.append(
-                        f"artifact {aid}: aot module {ameta['file']} content "
-                        "does not match its manifest sha256 (tampered?)"
-                    )
-                    continue
-                try:
-                    verify_aot_source(module.read_text(), filename=module)
-                except SanitizerError as e:
-                    problems.append(
-                        f"artifact {aid}: aot module failed sanitizing: {e}"
-                    )
             for sha in meta["objects"]:
                 counted[sha] = counted.get(sha, 0) + 1
                 obj = idx["objects"].get(sha)
@@ -617,6 +572,11 @@ class ArtifactStore:
                     problems.append(f"object {sha[:12]}: blob missing")
                 elif blob.stat().st_size != obj["bytes"]:
                     problems.append(f"object {sha[:12]}: blob size mismatch")
+                elif file_sha256(blob) != sha:
+                    problems.append(
+                        f"object {sha[:12]}: blob content does not match its "
+                        "sha256 (tampered?)"
+                    )
         for sha, obj in idx["objects"].items():
             if obj["refs"] != counted.get(sha, 0):
                 problems.append(

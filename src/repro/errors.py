@@ -6,7 +6,6 @@ __all__ = [
     "StoreError", "StoreFormatError", "ServingError", "TenantBudgetError",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
     "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",
-    "SanitizerError",
 ]
 
 
@@ -131,20 +130,6 @@ class IncoherentDistribution(AnalysisError):
     would be discarded before the output is read back.  Surfaced as an
     error by the static communication planner
     (:mod:`repro.analysis.commplan`)."""
-
-
-class SanitizerError(StoreError):
-    """Store-seeded AOT module source failed verification and was refused
-    before ``exec`` — a hash mismatch against the manifest, or source
-    outside the generated-module allowlist (smuggled imports, dunder
-    access, I/O, module-level mutation).  Carries the offending path and,
-    for AST findings, the exact source line."""
-
-    def __init__(self, path, message: str, *, line=None):
-        self.path = str(path)
-        self.line = line
-        at = f":{line}" if line is not None else ""
-        super().__init__(f"{self.path}{at}: {message}")
 
 
 class StoreFormatError(StoreError):

@@ -3,7 +3,8 @@
 All leaf kernels operate on contiguous position ranges of the SpDISTAL
 rect-``pos`` encoding; these helpers map positions to owning rows, expand
 rect ranges to position lists, and perform segmented reductions without
-Python-level loops (guide: vectorize, avoid copies).
+Python-level loops (guide: vectorize, avoid copies).  The two thunk
+helpers build the trivial per-piece kernels every ``bind_*`` leaf shares.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ __all__ = [
     "segment_sum",
     "segment_sum_matrix",
     "piece_range",
+    "const_thunk",
+    "zero_fill_thunk",
 ]
 
 
@@ -75,3 +78,18 @@ def segment_sum_matrix(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np
     for col in range(k):
         out[:, col] = np.bincount(seg_ids, weights=values[:, col], minlength=nseg)[:nseg]
     return out
+
+
+def const_thunk(w):
+    """A piece kernel with nothing to compute: returns ``w``."""
+    def thunk():
+        return w
+    return thunk
+
+
+def zero_fill_thunk(ov: np.ndarray, w):
+    """A piece kernel whose rows hold no non-zeros: zeroes ``ov``."""
+    def thunk():
+        ov[...] = 0.0
+        return w
+    return thunk

@@ -3,69 +3,41 @@
 The output keeps B's (i, j) pattern (paper §V-B): for CSF B, ``A`` is a CSR
 matrix sharing B's first two levels; for the DDC ("patents") format the
 (i, j) fiber space is dense and ``A`` is a dense matrix.  Either way the
-leaf reduces each fiber's positions against ``c`` — one segmented sum over
-the fiber parent space.
+leaf reduces each fiber's positions against ``c`` — which is SpMV over
+B's fiber level: the fibers play SpMV's rows, ``pos2``/``crd2`` its CSR
+arrays.  The row-based leaves therefore resolve each piece's rows to a
+fiber range at bind time (through ``pos1`` for CSF, arithmetically for
+DDC) and bind :func:`~repro.kernels.spmv.bind_spmv_rows` over it; a
+non-zero split binds :func:`~repro.kernels.spmv.bind_spmv_nonzeros` over
+the fiber level directly.
 
 Index notation: ``A(i,j) = B(i,j,k) * c(k)`` — paper §V-B (pattern
 preservation), §VI-A (higher-order kernels), Fig. 10/12 (evaluation).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..legion.machine import Work
-from .segment import row_of_positions, segment_sum
+from .spmv import bind_spmv_rows
 
-__all__ = ["spttv_fibers", "spttv_nonzeros", "spttv_reference"]
+__all__ = ["bind_spttv_csf3_rows", "bind_spttv_ddc_rows", "spttv_reference"]
 
 F8 = 8
 
 
-def spttv_fibers(
-    pos2: np.ndarray,
-    crd2: np.ndarray,
-    vals: np.ndarray,
-    c: np.ndarray,
-    out_vals: np.ndarray,
-    f0: int,
-    f1: int,
-) -> Work:
-    """Reduce fibers ``[f0, f1]`` (entries of B's second level) into out_vals."""
-    if f1 < f0:
-        return Work.zero()
-    lo = pos2[f0 : f1 + 1, 0]
-    hi = pos2[f0 : f1 + 1, 1]
-    lens = np.maximum(hi - lo + 1, 0)
-    nnz = int(lens.sum())
-    if nnz == 0:
-        out_vals[f0 : f1 + 1] = 0.0
-        return Work(0.0, (f1 - f0 + 1) * F8)
-    s = int(lo[0])
-    e = s + nnz - 1
-    prods = vals[s : e + 1] * c[crd2[s : e + 1]]
-    fibers = np.repeat(np.arange(f1 - f0 + 1, dtype=np.int64), lens)
-    out_vals[f0 : f1 + 1] = segment_sum(prods, fibers, f1 - f0 + 1)
-    return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8 + (f1 - f0 + 1) * 2 * F8))
+def bind_spttv_csf3_rows(pos1, pos2, crd2, vals, c, out_vals, pieces):
+    """Rows ``[r0, r1]`` of a CSF3 B per ``(color, r0, r1)`` piece."""
+    fibers = [
+        (color, int(pos1[r0, 0]), int(pos1[r1, 1])) if r1 >= r0 else (color, 0, -1)
+        for color, r0, r1 in pieces
+    ]
+    return bind_spmv_rows(pos2, crd2, vals, c, out_vals, fibers)
 
 
-def spttv_nonzeros(
-    pos2: np.ndarray,
-    crd2: np.ndarray,
-    vals: np.ndarray,
-    c: np.ndarray,
-    out_vals: np.ndarray,
-    p0: int,
-    p1: int,
-) -> Work:
-    """Accumulate leaf positions ``[p0, p1]`` (may split fibers across pieces)."""
-    if p1 < p0:
-        return Work.zero()
-    nnz = p1 - p0 + 1
-    prods = vals[p0 : p1 + 1] * c[crd2[p0 : p1 + 1]]
-    fibers = row_of_positions(pos2[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
-    f0, f1 = int(fibers[0]), int(fibers[-1])
-    out_vals[f0 : f1 + 1] += segment_sum(prods, fibers - f0, f1 - f0 + 1)
-    return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8 + (f1 - f0 + 1) * 2 * F8))
+def bind_spttv_ddc_rows(n1, pos2, crd2, vals, c, out_vals, pieces):
+    """Rows ``[r0, r1]`` of a DDC B (``n1`` dense fibers per row) per
+    ``(color, r0, r1)`` piece."""
+    fibers = [(color, r0 * n1, (r1 + 1) * n1 - 1) for color, r0, r1 in pieces]
+    return bind_spmv_rows(pos2, crd2, vals, c, out_vals, fibers)
 
 
 def spttv_reference(pos2, crd2, vals, c, out_vals, f0, f1) -> Work:

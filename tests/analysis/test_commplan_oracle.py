@@ -67,7 +67,12 @@ def run_case(
 
     est = predict_cost(ck)  # static: mirrors the runtime, executes nothing
     label = f"{kind}/{fmt}/{strategy}/{machine_kind} seed={seed} n={n}"
-    assert est.exact, f"{label}: specialized kernel priced approximately"
+    # A permuted operand (CSC) runs the generic engine, which the cost
+    # model prices approximately; its metrics signature is still exact.
+    specialized = ck.kind != "generic"
+    assert est.exact == specialized, (
+        f"{label}: {ck.kind} kernel priced {'exactly' if est.exact else 'approximately'}"
+    )
     assert not est.oom, f"{label}: predicted OOM on a feasible plan"
 
     rt = Runtime(machine)
@@ -95,7 +100,7 @@ def run_case(
         f"measured {measured.node_footprint}"
     )
     assert predicted.comm_bytes_by_channel() == measured.comm_bytes_by_channel()
-    assert est.seconds == res.simulated_seconds, (
+    assert not specialized or est.seconds == res.simulated_seconds, (
         f"{label}: predicted {est.seconds!r}s != measured "
         f"{res.simulated_seconds!r}s"
     )

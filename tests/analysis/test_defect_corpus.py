@@ -10,40 +10,25 @@ rejected program points at where the bug lives:
   ``IllegalCSE`` warning naming the clobbering statement (and the
   executed program really does run both occurrences);
 * a double-divide of one index variable → the scheduling language's
-  eager ``ScheduleError`` (caught at build time, before any analysis);
-* a byte-tampered AOT module in a stored artifact → ``SanitizerError``
-  on warm start instead of exec-ing;
-* an import-smuggling AOT module whose attacker *also* fixed the
-  manifest sha256 → the AST allowlist still rejects it, with the exact
-  smuggled line.
+  eager ``ScheduleError`` (caught at build time, before any analysis).
 """
-import hashlib
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import repro
 from repro.analysis import analyze_program
-from repro.codegen import reset_codegen_stats
-from repro.core import clear_caches, compile_kernel
-from repro.core.store import MANIFEST_NAME, file_sha256
-from repro.core.store_index import ArtifactStore
-from repro.errors import (
-    IllegalCSE, SanitizerError, ScheduleError, WriteHazard,
-)
-from repro.legion import Machine, Runtime
+from repro.core import clear_caches
+from repro.errors import IllegalCSE, ScheduleError, WriteHazard
+from repro.legion import Machine
 from repro.taco import CSR, Tensor, index_vars
 
 
 @pytest.fixture(autouse=True)
 def isolated():
     clear_caches()
-    reset_codegen_stats()
     yield
     clear_caches()
-    reset_codegen_stats()
 
 
 class TestAliasedAccumulate:
@@ -165,110 +150,3 @@ class TestDoubleDivide:
         # analysis — with the variables' provenance in the message.
         with pytest.raises(ScheduleError, match="divide"):
             s.divide(ii, io2, ii2, 2)
-
-
-def _packed_spmv_store(tmp_path):
-    """A store holding one artifact with a generated AOT module."""
-    machine = Machine.cpu(4)
-    rng = np.random.default_rng(7)
-    mat = sp.random(60, 48, density=0.1, random_state=rng, format="csr")
-    B = Tensor.from_scipy("B", mat, CSR)
-    c = Tensor.from_dense("c", rng.random(48))
-    a = Tensor.zeros("a", (60,))
-    i, j, io, ii = index_vars("i j io ii")
-    a[i] = B[i, j] * c[j]
-    sched = (a.schedule().divide(i, io, ii, 4).distribute(io)
-             .communicate([a, B, c], io))
-    ck = compile_kernel(sched, machine, backend="codegen")
-    ck.execute(Runtime(machine))
-    store = ArtifactStore(tmp_path / "store")
-    store.put(B)
-
-    def fresh_schedule():
-        B2 = Tensor.from_scipy("B", mat, CSR)
-        c2 = Tensor.from_dense("c", rng.random(48))
-        a2 = Tensor.zeros("a", (60,))
-        a2[i2] = B2[i2, j2] * c2[j2]
-        return (a2.schedule().divide(i2, io2, ii2, 4).distribute(io2)
-                .communicate([a2, B2, c2], io2))
-
-    i2, j2, io2, ii2 = index_vars("i j io ii")
-    return store, machine, fresh_schedule
-
-
-def _aot_files(store):
-    art_dir = store.root / store.entries()[-1]["dir"]
-    files = sorted((art_dir / "aot").glob("*.py"))
-    assert files, "artifact carries no AOT module"
-    return art_dir, files
-
-
-class TestTamperedAotArtifact:
-    def test_byte_tamper_raises_sanitizer_error_on_warm_start(
-        self, tmp_path
-    ):
-        store, machine, fresh_schedule = _packed_spmv_store(tmp_path)
-        art_dir, files = _aot_files(store)
-        mod = files[0]
-        mod.write_text(
-            mod.read_text() + "\nimport os\nos.system('true')\n"
-        )
-        clear_caches()
-        reset_codegen_stats()
-        with pytest.raises(SanitizerError) as exc:
-            store.load_latest(fresh_schedule(), machine)
-        # the sha256 gate fires before any parse/exec of the tampered file
-        assert "sha256" in str(exc.value)
-        assert exc.value.path.endswith(".py")
-        # and verify() reports the same corruption
-        assert any("sha256" in p for p in store.verify())
-
-    def test_import_smuggling_with_fixed_manifest_sha(self, tmp_path):
-        # A stronger attacker rewrites the manifest sha256 to match the
-        # tampered source; the AST allowlist is the layer that holds.
-        store, machine, fresh_schedule = _packed_spmv_store(tmp_path)
-        art_dir, files = _aot_files(store)
-        mod = files[0]
-        tampered = mod.read_text() + "\nimport subprocess\n"
-        mod.write_text(tampered)
-        smuggled_line = len(tampered.splitlines())  # the import's line
-        manifest = json.loads((art_dir / MANIFEST_NAME).read_text())
-        for meta in manifest["aot_modules"]:
-            if meta["file"].endswith(mod.name):
-                meta["sha256"] = file_sha256(mod)
-                meta["bytes"] = mod.stat().st_size
-        (art_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-
-        clear_caches()
-        reset_codegen_stats()
-        with pytest.raises(SanitizerError) as exc:
-            store.load_latest(fresh_schedule(), machine)
-        assert "allowlist" in str(exc.value)
-        assert exc.value.line == smuggled_line
-        from repro.codegen import codegen_stats
-        assert codegen_stats()["store_seeded"] == 0  # never registered
-
-    def test_trust_env_skips_the_gate(self, tmp_path, monkeypatch):
-        store, machine, fresh_schedule = _packed_spmv_store(tmp_path)
-        art_dir, files = _aot_files(store)
-        # harmless byte-level tamper: append a comment (sha changes, the
-        # source stays inside the allowlist)
-        files[0].write_text(files[0].read_text() + "\n# trailing note\n")
-        clear_caches()
-        reset_codegen_stats()
-        monkeypatch.setenv("REPRO_AOT_TRUST", "1")
-        store.load_latest(fresh_schedule(), machine)  # no raise
-        from repro.codegen import codegen_stats
-        # Trusted, but no longer what the template emits: left out and
-        # lowered fresh instead of exec-loaded.
-        assert codegen_stats()["store_seeded"] == 0
-        assert codegen_stats()["store_stale"] == 1
-
-    def test_untampered_warm_start_still_clean(self, tmp_path):
-        store, machine, fresh_schedule = _packed_spmv_store(tmp_path)
-        clear_caches()
-        reset_codegen_stats()
-        store.load_latest(fresh_schedule(), machine)
-        from repro.codegen import codegen_stats
-        assert codegen_stats()["store_seeded"] == 1
-        assert store.verify() == []

@@ -1,7 +1,7 @@
 """Property tests for the byte-budgeted LRU behind every cache tier.
 
 ``repro.core.cache._SizedLRU`` carries the process-wide kernel cache,
-partition memo, decision table and AOT registry — the state the
+partition memo and decision table — the state the
 multi-tenant serving layer shares across tenants — so its documented
 semantics are pinned here against a straight-line reference model under
 randomized operation interleavings:

@@ -199,35 +199,32 @@ class TestGC:
         with pytest.raises(StoreError, match="keep_latest"):
             store.gc(keep_latest=0)
 
-    def test_max_bytes_pins_aot_holder(self, tmp_path):
-        """Regression: max_bytes eviction must not evict the artifact that
-        resolves a live ``fp:`` key when it carries AOT generated modules —
-        only the single globally-newest artifact used to be protected."""
+    def test_max_bytes_evicts_lru_kernel_holder(self, tmp_path):
+        """max_bytes protects only the globally-newest artifact: an older
+        artifact resolving a live ``fp:`` key is an ordinary LRU victim
+        (artifacts carry no generated modules that would need pinning)."""
         store = ArtifactStore(tmp_path / "store")
         B = make_tensor()
         rng = np.random.default_rng(3)
         c = Tensor.from_dense("c", rng.random(M))
         a = Tensor.zeros("a", (N,))
         machine = Machine.cpu(PIECES)
-        ck = compile_kernel(spmv_schedule(B, c, a), machine,
-                            backend="codegen")
-        ck.execute(Runtime(machine))
-        holder = store.put(B)  # carries fp: key + aot/<fp>.py module
+        compile_kernel(spmv_schedule(B, c, a), machine).execute(Runtime(machine))
+        holder = store.put(B)  # carries the fp: key of the cached kernel
         fpkey = fingerprint_key(spmv_schedule(B, c, a), machine)
         assert store.resolve(fpkey) == holder
-        idx = store.read_index()
-        aid = holder.name
-        assert idx["artifacts"][aid].get("aot", 0) >= 1
-        # Newer cache-free churn makes the aot holder the LRU victim.
+        assert not (holder / "aot").exists()
+        # Newer cache-free churn makes the kernel holder the LRU victim.
         for s in range(5):
             big = sp.random(200, 200, density=0.2,
                             random_state=np.random.default_rng(100 + s),
                             format="csr")
-            store.put(Tensor.from_scipy("X", big, CSR),
-                      include_caches=False, keys=["churn"])
+            newest = store.put(Tensor.from_scipy("X", big, CSR),
+                               include_caches=False, keys=["churn"])
         store.gc(max_bytes=1)
-        assert store.resolve(fpkey) is not None
-        assert holder.exists()
+        assert not holder.exists()
+        assert store.resolve(fpkey) is None
+        assert newest.exists()
         assert store.verify() == []
 
 
@@ -240,6 +237,16 @@ class TestVerify:
         problems = store.verify()
         assert any("blob missing" in p or "missing sidecar" in p
                    or "missing payload" in p for p in problems)
+
+    def test_verify_detects_tampered_blob(self, tmp_path):
+        # Same size, different bytes: only the sha256 check can tell.
+        store = ArtifactStore(tmp_path / "store")
+        store.put(make_tensor(), include_caches=False, sidecar_threshold=0)
+        blob = max(store.objects_dir.iterdir(), key=lambda p: p.stat().st_size)
+        data = bytearray(blob.read_bytes())
+        data[-1] ^= 0xFF
+        blob.write_bytes(bytes(data))
+        assert any("sha256" in p for p in store.verify())
 
     def test_verify_detects_orphan_blob(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")

@@ -5,7 +5,8 @@ trustworthiness reduces to one property: *every* kernel × format ×
 {rows, nonzeros, grid} strategy × machine kind combination the
 auto-scheduler can produce computes exactly what the dense reference
 (:mod:`repro.taco.reference`) computes.  This module sweeps that space
-over seeded randomized COO tensors (shapes and densities swept too) and
+over seeded randomized COO tensors (shapes and densities swept too, plus
+SpMV/SpMM inputs whose pieces own rows without non-zeros) and
 cross-checks with **exact float64 equality** — all generated values are
 small integers, so every sum of products is exactly representable and
 associativity cannot hide a wrong answer behind a tolerance.
@@ -27,12 +28,12 @@ import scipy.sparse as sp
 from repro.api.autoschedule import auto_schedule
 from repro.core import clear_caches, compile_kernel
 from repro.legion import Machine
-from repro.taco import CSF3, CSR, DDC, Tensor, index_vars
+from repro.taco import CSC, CSF3, CSR, DDC, Tensor, index_vars
 from repro.taco.reference import evaluate
 
 PIECES = 4  # 4 = 2x2: every strategy including the square grid is buildable
 
-_FORMATS = {"csr": CSR, "csf3": CSF3, "ddc": DDC}
+_FORMATS = {"csr": CSR, "csc": CSC, "csf3": CSF3, "ddc": DDC}
 
 #: Which strategies the auto-scheduler can emit per kernel kind.
 _STRATEGIES = {
@@ -45,12 +46,27 @@ _STRATEGIES = {
 }
 
 _KIND_FORMATS = {
-    "spmv": ("csr",),
-    "spmm": ("csr",),
+    "spmv": ("csr", "csc"),
+    "spmm": ("csr", "csc"),
     "sddmm": ("csr",),
     "spttv": ("csf3", "ddc"),
     "spmttkrp": ("csf3", "ddc"),
     "spadd3": ("csr",),
+}
+
+#: (kind, format) pairs restricted to a subset of ``_STRATEGIES``: a CSC
+#: operand has no specialized leaf and runs the generic engine, which
+#: only takes the coordinate (rows) split.
+_FORMAT_STRATEGIES = {
+    ("spmv", "csc"): ("rows",),
+    ("spmm", "csc"): ("rows",),
+}
+
+#: SpMV/SpMM inputs whose B has no non-zeros in the named rows, so some
+#: pieces own rows but no positions (R-MAT graphs, empty leading rows).
+_EMPTY_ROWS = {
+    "leading-half": lambda n: slice(0, n // 2),
+    "all": lambda n: slice(0, n),
 }
 
 
@@ -83,11 +99,26 @@ def _int_tensor3(rng, shape, density, fmt):
     return Tensor.from_coo("T", idx, _int_vals(rng, nnz), shape, fmt)
 
 
-def _build(kind: str, fmt: str, rng, n: int, density: float) -> Tensor:
-    """The statement's output tensor (assignment attached)."""
+def _matrix_operand(rng, n, density, fmt_obj, empty_rows):
+    A = _int_csr(rng, n, n, density)
+    if empty_rows is not None:
+        keep = np.ones(n)
+        keep[_EMPTY_ROWS[empty_rows](n)] = 0.0
+        A = (sp.diags(keep) @ A).tocsr()
+        A.eliminate_zeros()
+    return Tensor.from_scipy("B", A, fmt_obj)
+
+
+def _build(kind: str, fmt: str, rng, n: int, density: float,
+           empty_rows=None) -> Tensor:
+    """The statement's output tensor (assignment attached).
+
+    ``empty_rows`` names an ``_EMPTY_ROWS`` pattern of SpMV/SpMM rows
+    stripped of their non-zeros.
+    """
     fmt_obj = _FORMATS[fmt]
     if kind == "spmv":
-        B = Tensor.from_scipy("B", _int_csr(rng, n, n, density), CSR)
+        B = _matrix_operand(rng, n, density, fmt_obj, empty_rows)
         c = Tensor.from_dense("c", _int_dense(rng, (n,)))
         a = Tensor.zeros("a", (n,))
         i, j = index_vars("i j")
@@ -95,7 +126,7 @@ def _build(kind: str, fmt: str, rng, n: int, density: float) -> Tensor:
         return a
     if kind == "spmm":
         k = 5
-        B = Tensor.from_scipy("B", _int_csr(rng, n, n, density), CSR)
+        B = _matrix_operand(rng, n, density, fmt_obj, empty_rows)
         C = Tensor.from_dense("C", _int_dense(rng, (n, k)))
         out = Tensor.zeros("A", (n, k))
         i, kk, j = index_vars("i k j")
@@ -151,6 +182,7 @@ def run_case(
     seed: int,
     n: int = 24,
     density: float = 0.2,
+    empty_rows=None,
 ):
     """Build, auto-schedule, execute one combination and compare exactly.
 
@@ -159,7 +191,7 @@ def run_case(
     mismatch; returns ``(actual, expected)`` dense arrays otherwise.
     """
     rng = np.random.default_rng(seed)
-    out = _build(kind, fmt, rng, n, density)
+    out = _build(kind, fmt, rng, n, density, empty_rows)
     expected = evaluate(out.assignment)
     machine = (
         Machine.gpu(PIECES) if machine_kind == "gpu" else Machine.cpu(PIECES)
@@ -177,13 +209,15 @@ def run_case(
         ]
         raise AssertionError(
             f"{kind}/{fmt}/{strategy}/{machine_kind} seed={seed} n={n} "
-            f"density={density}: {len(bad)} differing entries; first "
+            f"density={density} empty_rows={empty_rows}: {len(bad)} "
+            f"differing entries; first "
             f"(index, actual, expected): {head}"
         )
     return actual, expected
 
 
-def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density) -> str:
+def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density,
+                  empty_rows=None) -> str:
     src = str(Path(__file__).resolve().parents[2] / "src")
     here = str(Path(__file__).resolve().parent)
     return (
@@ -195,20 +229,24 @@ def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density) -> str:
         "from test_differential import run_case\n"
         f"run_case(kind={kind!r}, fmt={fmt!r}, strategy={strategy!r},\n"
         f"         machine_kind={machine_kind!r}, seed={seed}, n={n},\n"
-        f"         density={density})\n"
+        f"         density={density}, empty_rows={empty_rows!r})\n"
         "print('reproduced OK: the combination now matches the reference')\n"
     )
 
 
-def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2):
+def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2,
+           empty_rows=None):
     try:
-        run_case(kind, fmt, strategy, machine_kind, seed, n=n, density=density)
+        run_case(kind, fmt, strategy, machine_kind, seed, n=n, density=density,
+                 empty_rows=empty_rows)
     except AssertionError as e:
         dump_dir = Path(os.environ.get("REPRO_FAILURE_DIR", "repro_failures"))
         dump_dir.mkdir(parents=True, exist_ok=True)
-        script = _repro_script(kind, fmt, strategy, machine_kind, seed, n, density)
+        script = _repro_script(kind, fmt, strategy, machine_kind, seed, n,
+                               density, empty_rows)
         path = dump_dir / (
-            f"repro_{kind}_{fmt}_{strategy}_{machine_kind}_s{seed}.py"
+            f"repro_{kind}_{fmt}_{strategy}_{machine_kind}_s{seed}"
+            f"{'_' + empty_rows if empty_rows else ''}.py"
         )
         path.write_text(script)
         pytest.fail(
@@ -226,7 +264,7 @@ def _fresh_caches():
 def _combos():
     for kind, fmts in _KIND_FORMATS.items():
         for fmt in fmts:
-            for strategy in _STRATEGIES[kind]:
+            for strategy in _FORMAT_STRATEGIES.get((kind, fmt), _STRATEGIES[kind]):
                 yield kind, fmt, strategy
 
 
@@ -244,6 +282,19 @@ SMOKE_CASES = [(k, f, s, "cpu", 1234) for k, f, s in _combos()]
 def test_differential_smoke(case):
     kind, fmt, strategy, machine_kind, seed = case
     _check(kind, fmt, strategy, machine_kind, seed)
+
+
+# --------------------------------------------------------------------------- #
+# pieces with rows but no non-zeros, both machine kinds
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("machine_kind", ("cpu", "gpu"))
+@pytest.mark.parametrize("rows", sorted(_EMPTY_ROWS))
+@pytest.mark.parametrize("kind,strategy", [
+    ("spmv", "rows"), ("spmv", "nonzeros"),
+    ("spmm", "rows"), ("spmm", "grid"), ("spmm", "nonzeros"),
+])
+def test_differential_pieces_without_nonzeros(kind, strategy, rows, machine_kind):
+    _check(kind, "csr", strategy, machine_kind, 4321, empty_rows=rows)
 
 
 # --------------------------------------------------------------------------- #

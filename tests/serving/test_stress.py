@@ -1,15 +1,13 @@
 """Concurrency stress for the shared compile substrate and the Server.
 
-Barrier-released thread herds hammer the three layers tenants contend on:
+Barrier-released thread herds hammer the two layers tenants contend on:
 
-* the AOT registry's single-flight lowering (``aot_entry_for``) — no
-  double-lowering under a simultaneous miss herd, every thread gets the
-  same :class:`AotEntry` object;
 * the byte-budgeted LRU tiers (``_SizedLRU``) — no lost entries and exact
   byte/counter accounting after an interleaved put/get herd;
 * the full ``repro.serve`` request path — compile/execute/autotune from
-  many tenants at once, deduplicated to one build per signature with
-  responses bit-identical to serial execution.
+  many tenants at once, deduplicated to one build per signature (no
+  double compile in the kernel cache) with responses bit-identical to
+  serial execution.
 
 Each herd lines up on a :class:`threading.Barrier` so every thread
 releases into the critical section together — the schedule most likely to
@@ -23,8 +21,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.codegen import codegen_stats, registry, reset_codegen_stats
-from repro.core import clear_caches
+from repro.core import cache_stats, clear_caches
 from repro.core.cache import _SizedLRU
 
 pytestmark = []  # smoke herds below stay unmarked (tier-1)
@@ -35,10 +32,8 @@ SWEEP = 50  # consecutive no-flake iterations for the full sweeps
 @pytest.fixture(autouse=True)
 def isolated_caches():
     clear_caches()
-    reset_codegen_stats()
     yield
     clear_caches()
-    reset_codegen_stats()
 
 
 def run_herd(n_threads, worker):
@@ -66,64 +61,7 @@ def run_herd(n_threads, worker):
 
 
 # --------------------------------------------------------------------- #
-# layer 1: single-flight lowering in the AOT registry
-# --------------------------------------------------------------------- #
-def _registry_herd(iteration: int) -> None:
-    clear_caches()
-    reset_codegen_stats()
-    key = f"stress_key_{iteration}"
-    got = [None] * 16
-
-    def worker(tid):
-        got[tid] = registry.aot_entry_for(key, "spmv", "csr", "rows")
-
-    run_herd(16, worker)
-    entries = {id(e) for e in got}
-    assert None not in got
-    assert len(entries) == 1, "herd observed distinct AotEntry objects"
-    assert codegen_stats()["lowered"] == 1, (
-        f"double-lowering: {codegen_stats()['lowered']} for one key"
-    )
-
-
-def test_registry_single_flight_smoke():
-    _registry_herd(0)
-
-
-@pytest.mark.serving
-@pytest.mark.slow
-def test_registry_single_flight_sweep():
-    for i in range(SWEEP):
-        _registry_herd(i)
-
-
-def _registry_many_keys_herd(iteration: int) -> None:
-    # 16 threads x 8 distinct keys, all colliding: lowered == distinct keys.
-    clear_caches()
-    reset_codegen_stats()
-    keys = [f"stress_mk_{iteration}_{k}" for k in range(8)]
-
-    def worker(tid):
-        for k in (keys if tid % 2 else reversed(keys)):
-            registry.aot_entry_for(k, "spmv", "csr", "nonzeros")
-
-    run_herd(16, worker)
-    assert codegen_stats()["lowered"] == len(keys)
-
-
-def test_registry_many_keys_smoke():
-    _registry_many_keys_herd(0)
-
-
-@pytest.mark.serving
-@pytest.mark.slow
-def test_registry_many_keys_sweep():
-    for i in range(SWEEP):
-        _registry_many_keys_herd(i)
-
-
-# --------------------------------------------------------------------- #
-# layer 2: the byte-budgeted LRU under an interleaved herd
+# layer 1: the byte-budgeted LRU under an interleaved herd
 # --------------------------------------------------------------------- #
 def _lru_herd(iteration: int) -> None:
     lru = _SizedLRU(budget_bytes=1 << 30, max_entries=10_000)
@@ -185,7 +123,7 @@ def test_lru_eviction_accounting_sweep():
 
 
 # --------------------------------------------------------------------- #
-# layer 3: the full serving path — compile/execute/autotune herds
+# layer 2: the full serving path — compile/execute/autotune herds
 # --------------------------------------------------------------------- #
 N, K = 64, 4
 
@@ -211,7 +149,7 @@ def _serving_herd(iteration: int, tune: bool) -> None:
     B, x, C = _make_data(iteration)
     ref = _serial_reference(B, x, C)
     clear_caches()
-    reset_codegen_stats()
+    misses_before = cache_stats()["kernel_misses"]
     requests = (("ij,j->i", ("B", "x")), ("ij,jk->ik", ("B", "C")))
     results = [[] for _ in range(12)]
     with repro.serve(nodes=2, workers=4, tune=tune) as srv:
@@ -235,9 +173,9 @@ def _serving_herd(iteration: int, tune: bool) -> None:
                 per_sig_leaders.setdefault(r.key, 0)
                 per_sig_leaders[r.key] += bool(r.compiled)
         assert all(v == 1 for v in per_sig_leaders.values()), per_sig_leaders
-    # no double-lowering under the herd: at most one per (kernel, strategy)
-    stats = codegen_stats()
-    assert stats["lowered"] <= 2 * (3 if tune else 1)
+    # no double compile under the herd: at most one per (kernel, strategy)
+    misses = cache_stats()["kernel_misses"] - misses_before
+    assert 0 < misses <= 2 * (3 if tune else 1)
     # bit-identical to serial — same spec, same answer, every response
     for row in results:
         for r in row:

@@ -2,7 +2,7 @@
 
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
-nondeterminism lint and the AOT template/sanitizer agreement — into the
+nondeterminism lint and static communication-plan coherence — into the
 plain ``pytest`` loop.  The self-tests pin the runner's own semantics
 (plugin selection, JSON schema stability, exact-line findings from the
 nondet scanner) so the enforcement cannot rot into a vacuous pass.
@@ -86,7 +86,7 @@ def test_cli_only_unknown_exits_two_listing_names():
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
     assert {"lock", "docs", "exports", "nondet",
-            "aot-sanitizer", "commplan", "examples"} <= names
+            "commplan", "examples"} <= names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
     # exactly one slow plugin today: the examples subprocess runner

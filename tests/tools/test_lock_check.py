@@ -1,7 +1,7 @@
 """Tier-1 enforcement of the static lock-discipline check.
 
 ``tools/lock_check.py`` asserts that every mutation of the shared cache
-structures (:mod:`repro.core.cache`, :mod:`repro.codegen.registry`)
+structures (:mod:`repro.core.cache`, :mod:`repro.api.serving`, …)
 happens under the designated lock — the invariant the multi-tenant
 serving layer leans on.  Running it here wires the check into the fast
 tier-1 loop: an unlocked mutation introduced anywhere in the watched

@@ -39,8 +39,6 @@ REQUIRED_EXPORTS = [
     # building blocks
     "Tensor", "Schedule", "Machine", "index_vars",
     "compile_kernel", "compile_program",
-    # codegen backend knobs
-    "set_codegen_backend", "codegen_backend", "codegen_stats",
     # static analysis
     "analyze_program", "AnalysisReport", "predict_metrics",
     # formats
@@ -49,7 +47,6 @@ REQUIRED_EXPORTS = [
     # errors
     "ReproError", "CompileError", "ScheduleError", "FormatError", "OOMError",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
-    "SanitizerError",
 ]
 
 

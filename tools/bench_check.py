@@ -25,16 +25,15 @@ Seven gated scenarios, each compared against its most recent
   packed-operand warm store (``repro.bench.warmstore``).  Checked
   unconditionally: the warm-started series must be bit-identical to the
   rebuilt-tensor baseline, and the artifact store must pass its integrity
-  check (index entries resolve, no orphaned payloads) before *and* after
-  a ``gc(keep_latest=1)`` compaction.  The gated statistic is the
+  check (index entries resolve, blobs match their sha256, no orphaned
+  payloads) before *and* after a ``gc(keep_latest=1)`` compaction.  The gated statistic is the
   warm-over-rebuilt wall-clock speedup.
 
-* **codegen** — the AOT codegen backend's generated leaves against the
-  interpreter leaves on the iterative-SpMV kernel.  Checked
-  unconditionally: output values and simulated metrics bit-identical
-  between backends, warm start through the artifact store with zero
-  lowering work, and a >= 2x leaf-sweep acceptance floor.  The gated
-  statistic is the leaf speedup.
+* **leaves** — a sweep of the bound SpMV rows leaf on the iterative-SpMV
+  kernel against SciPy's ``A @ x`` on the same operands, in the same
+  process.  Checked unconditionally: values within 1e-12 relative of
+  SciPy, and the simulated metrics equal to ``predict_metrics``.  The
+  gated statistic is the SciPy-time over leaf-time ratio.
 
 * **fusion** — the pass pipeline's SDDMM→SpMM kernel fusion against the
   unfused two-statement chain (the fused statement inherits the
@@ -190,42 +189,6 @@ def check_warmstart(write: bool, threshold: float) -> int:
     )
 
 
-def _sanitize_store_aot(store) -> int:
-    """Run the AOT sanitizer + sha256 check over every module in ``store``.
-
-    Returns the number of modules checked, or -1 (after printing FAIL
-    lines) when any module is tampered or outside the allowlist — the
-    unconditional contract that what a bench run just wrote is exactly
-    what a warm start may exec-load.
-    """
-    from repro.analysis.sanitizer import verify_aot_source
-    from repro.core.store import file_sha256, read_manifest
-    from repro.errors import SanitizerError
-
-    checked, failures = 0, []
-    for entry in store.entries():
-        art_dir = store.root / entry["dir"]
-        manifest = read_manifest(art_dir)
-        for meta in manifest.get("aot_modules", ()):
-            module = art_dir / meta["file"]
-            checked += 1
-            declared = meta.get("sha256")
-            if declared and file_sha256(module) != declared:
-                failures.append(
-                    f"{module}: content does not match manifest sha256"
-                )
-                continue
-            try:
-                verify_aot_source(module.read_text(), filename=module)
-            except SanitizerError as e:
-                failures.append(str(e))
-    if failures:
-        for f in failures:
-            print(f"FAIL: aot sanitizer: {f}")
-        return -1
-    return checked
-
-
 # --------------------------------------------------------------------------- #
 # scenario: figures (warm-started figure drivers + store integrity)
 # --------------------------------------------------------------------------- #
@@ -285,17 +248,6 @@ def check_figures(write: bool, threshold: float) -> int:
         if problems:
             print("FAIL: store integrity: " + "; ".join(problems))
             return 1
-        # Unconditional sanitizer contract: every AOT module this run just
-        # wrote must pass the exec-load allowlist and match its manifest
-        # sha256 (over and above verify(), which also checks this — the
-        # explicit pass reports how many modules the contract covered;
-        # figure stores that pack only operand tensors legitimately
-        # report 0).
-        sanitized = _sanitize_store_aot(store)
-        if sanitized < 0:
-            return 1
-        print(f"figures: {sanitized} freshly written AOT modules pass the "
-              "exec-load sanitizer")
         unresolved = [e["id"] for e in store.entries()
                       if store.resolve(e["keys"][0]) is None]
         if unresolved:
@@ -468,47 +420,34 @@ def check_autotune(write: bool, threshold: float) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# scenario: codegen (generated leaves vs interpreter leaves)
+# scenario: leaves (bound SpMV rows leaf vs SciPy)
 # --------------------------------------------------------------------------- #
-def check_codegen(write: bool, threshold: float) -> int:
-    from repro.bench.codegenbench import run_codegen_bench, write_codegen_report
-    from repro.core import clear_caches
+def check_leaves(write: bool, threshold: float) -> int:
+    from repro.bench.leavesbench import RTOL, run_leaves_bench, write_leaves_report
 
-    clear_caches()
-    result = run_codegen_bench()
-    print(f"codegen: interp leaf {result.interp_leaf_s * 1e3:.3f} ms/sweep, "
-          f"generated leaf {result.codegen_leaf_s * 1e3:.3f} ms/sweep, "
-          f"speedup {result.leaf_speedup:.2f}x")
-
-    # The codegen contract is unconditional — a break fails regardless of
-    # any baseline: bit-identical values and simulated metrics, a >= 2x
-    # leaf-sweep acceptance floor, and a warm start that re-seeds the
-    # generated module from the artifact store with zero lowering work.
-    # The warm leg runs through load_packed, so store_seeded >= 1 also
-    # certifies the re-seeded source passed the AOT sanitizer + sha256
-    # check (repro.analysis.sanitizer) before it was exec-loaded.
+    result = run_leaves_bench()
+    print(f"leaves: leaf sweep {result.leaf_s * 1e3:.3f} ms, "
+          f"SciPy A @ x {result.scipy_s * 1e3:.3f} ms, "
+          f"ratio {result.scipy_ratio:.2f}x")
+    # The leaf contract is unconditional — a break fails regardless of any
+    # baseline: values match SciPy and the simulated metrics match the
+    # static prediction.
     failures = []
-    if not result.values_bit_identical:
-        failures.append("output values differ between backends")
-    if not result.metrics_bit_identical:
-        failures.append("simulated metrics differ between backends")
-    if not result.warm_start_zero_lowering:
+    if not result.values_match:
         failures.append(
-            f"warm start did lowering work: {result.warm_stats}"
+            f"max relative error {result.max_rel_error:.3e} against SciPy "
+            f"exceeds {RTOL:g}"
         )
-    if result.leaf_speedup < 2.0:
-        failures.append(
-            f"leaf speedup {result.leaf_speedup:.2f}x below the 2x floor"
-        )
+    if not result.metrics_match_prediction:
+        failures.append("simulated metrics differ from predict_metrics")
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
-    print(f"OK: contracts hold (warm stats {result.warm_stats})")
-
+    print(f"OK: contracts hold (max relative error {result.max_rel_error:.1e})")
     return _gate_ratio(
-        "codegen", "leaf_speedup", result.leaf_speedup, write, threshold,
-        lambda: write_codegen_report(result, BENCH_DIR),
+        "leaves", "scipy_ratio", result.scipy_ratio, write, threshold,
+        lambda: write_leaves_report(result, BENCH_DIR),
     )
 
 
@@ -667,7 +606,8 @@ def check_serving(write: bool, threshold: float) -> int:
         failures.append(
             f"compile/tune not deduplicated: {result.server_compiles} builds "
             f"for {result.distinct_requests} distinct signatures, "
-            f"lowered={result.lowered} (one tenant: {result.serial_lowered})"
+            f"kernel_misses={result.kernel_misses} "
+            f"(one tenant: {result.serial_kernel_misses})"
         )
     if not result.values_bit_identical:
         failures.append("responses diverged from the serial reference")
@@ -699,7 +639,7 @@ def main(argv=None) -> int:
                     help="record new baselines instead of comparing")
     ap.add_argument("--scenario",
                     choices=("iterative", "warmstart", "figures", "autotune",
-                             "codegen", "fusion", "serving", "all"),
+                             "leaves", "fusion", "serving", "all"),
                     default="all")
     args = ap.parse_args(argv)
 
@@ -713,8 +653,8 @@ def main(argv=None) -> int:
         rc |= check_figures(args.write, args.threshold)
     if args.scenario in ("autotune", "all"):
         rc |= check_autotune(args.write, args.threshold)
-    if args.scenario in ("codegen", "all"):
-        rc |= check_codegen(args.write, args.threshold)
+    if args.scenario in ("leaves", "all"):
+        rc |= check_leaves(args.write, args.threshold)
     if args.scenario in ("fusion", "all"):
         rc |= check_fusion(args.write, args.threshold)
     if args.scenario in ("serving", "all"):

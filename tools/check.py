@@ -8,19 +8,15 @@ runner turns each into a *plugin* sharing one AST/source cache and one
 findings model, and adds two codebase passes of its own:
 
 * **nondet** — a nondeterminism lint over the deterministic layers
-  (``src/repro/kernels``, ``src/repro/codegen``, ``src/repro/analysis``,
+  (``src/repro/kernels``, ``src/repro/codegen.py``, ``src/repro/analysis``,
   ``src/repro/distal``, ``src/repro/bench``): unseeded
   ``np.random`` / ``random`` usage and wall-clock reads
   (``time.time``/``perf_counter``, ``datetime.now``) are flagged with
-  exact lines, because generated kernels, their templates and the static
+  exact lines, because the leaf kernels, their dispatch and the static
   analyzers must be reproducible functions of their inputs.  An
   intentional read (the bench harness timing its own host overhead)
   carries an inline waiver ``# nondet: ok <reason>`` on the flagged
   line — a waiver without a reason is itself a finding;
-* **aot-sanitizer** — every lowering template combination must pass the
-  generated-module AST allowlist (:mod:`repro.analysis.sanitizer`), so
-  the verifier that guards store exec-loads can never drift out of sync
-  with what the emitter produces;
 * **commplan** — every schedule the auto-scheduler can synthesize
   (kernel × format × strategy × machine kind) must yield a coherent
   static communication plan (:mod:`repro.analysis.commplan`): the plan
@@ -203,9 +199,9 @@ def _run_examples(cache: SourceCache) -> CheckResult:
 # --------------------------------------------------------------------- #
 # nondeterminism lint (new)
 # --------------------------------------------------------------------- #
-#: directories whose code must be a pure function of its inputs.
+#: directories (and modules) whose code must be a pure function of its inputs.
 NONDET_ROOTS = (
-    "src/repro/kernels", "src/repro/codegen",
+    "src/repro/kernels", "src/repro/codegen.py",
     "src/repro/analysis", "src/repro/distal", "src/repro/bench",
 )
 
@@ -312,7 +308,8 @@ def _run_nondet(cache: SourceCache) -> CheckResult:
     findings: List[Finding] = []
     scanned = 0
     for root in NONDET_ROOTS:
-        for path in sorted((REPO / root).rglob("*.py")):
+        top = REPO / root
+        for path in [top] if top.is_file() else sorted(top.rglob("*.py")):
             relpath = str(path.relative_to(REPO))
             text, tree = cache.get(relpath)
             findings.extend(_scan_nondet(relpath, text, tree))
@@ -321,43 +318,6 @@ def _run_nondet(cache: SourceCache) -> CheckResult:
         "nondet", findings,
         f"{scanned} modules under {', '.join(NONDET_ROOTS)} free of "
         "unseeded randomness and unwaived wall-clock reads",
-    )
-
-
-# --------------------------------------------------------------------- #
-# AOT sanitizer self-consistency (new)
-# --------------------------------------------------------------------- #
-def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
-    """Every emittable template must pass the exec-load allowlist."""
-    import itertools
-
-    from repro.analysis.sanitizer import verify_aot_source
-    from repro.codegen import lowering
-    from repro.errors import SanitizerError
-
-    findings = []
-    checked = 0
-    kinds = ("spmv", "spmm", "sddmm", "fused_sddmm_spmm", "spttv",
-             "spmttkrp")
-    fmts = ("csr", "csf", "ddc", "dense")
-    strategies = ("rows", "nonzeros", "grid")
-    for kind, fmt, strategy in itertools.product(kinds, fmts, strategies):
-        try:
-            source = lowering.emit_source(kind, fmt, strategy)
-        except Exception:
-            continue  # combination not emittable — nothing to exec-load
-        checked += 1
-        try:
-            verify_aot_source(source, filename=f"{kind}/{fmt}/{strategy}")
-        except SanitizerError as e:
-            findings.append(Finding(
-                "src/repro/codegen/lowering.py", None,
-                f"template {kind}/{fmt}/{strategy} fails the sanitizer "
-                f"allowlist: {e}",
-            ))
-    return CheckResult(
-        "aot-sanitizer", findings,
-        f"{checked} generated templates pass the exec-load allowlist",
     )
 
 
@@ -629,8 +589,6 @@ PLUGINS: List[Plugin] = [
            _run_exports),
     Plugin("nondet", "deterministic layers free of unseeded RNG and "
            "unwaived wall-clock reads", _run_nondet),
-    Plugin("aot-sanitizer", "lowering templates pass the exec-load allowlist",
-           _run_aot_sanitizer),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Static lock-discipline check for the shared cache state.
 
-The process-wide cache tiers (:mod:`repro.core.cache`) and the AOT module
-registry (:mod:`repro.codegen.registry`) are mutated concurrently by every
-session in the process — the multi-tenant serving layer
+The process-wide cache tiers (:mod:`repro.core.cache`) are mutated
+concurrently by every session in the process — the multi-tenant serving layer
 (:mod:`repro.api.serving`) multiplexes tenant threads over exactly this
 state.  Their thread-safety contract is lexical: **every mutation of a
 watched structure happens inside a ``with <designated lock>:`` block**.
@@ -85,9 +84,6 @@ WATCH = {
             exempt=("__init__",),
         ),
         Rule(targets=("_machine_sigs",), lock="_SIG_LOCK"),
-    ),
-    "src/repro/codegen/registry.py": (
-        Rule(targets=("_counters", "_inflight"), lock="_LOCK"),
     ),
     # The multi-tenant server: tensor catalog, pre-warmed session entries,
     # the single-flight map, per-tenant budget/stat records and the compile
