@@ -375,7 +375,6 @@ def ablation_partition_tradeoff(
     data = {}
     for ds in ["arabic-2005", "nlpkkt240"]:
         A = load_matrix(ds, cfg.dataset_scale, cfg.seed)
-        B = Tensor.from_scipy("B", A, None)  # CSR default
         from ..taco.formats import CSR
 
         B = Tensor.from_scipy("B", A, CSR)

@@ -11,10 +11,12 @@ not match.
 from .segment import (
     const_thunk,
     expand_ranges,
+    local_row_pointer,
     piece_range,
+    reduction_scratch,
     row_of_positions,
     segment_sum,
-    segment_sum_matrix,
+    segment_sum_rows,
     zero_fill_thunk,
 )
 from .spmv import bind_spmv_nonzeros, bind_spmv_rows, spmv_rows_reference
@@ -38,8 +40,9 @@ from .spmttkrp import (
 from .generic_coo import CooData, coo_of_access, evaluate_generic, fits_int64, lex_ranks
 
 __all__ = [
-    "const_thunk", "expand_ranges", "piece_range", "row_of_positions",
-    "segment_sum", "segment_sum_matrix", "zero_fill_thunk",
+    "const_thunk", "expand_ranges", "local_row_pointer", "piece_range",
+    "reduction_scratch", "row_of_positions", "segment_sum", "segment_sum_rows",
+    "zero_fill_thunk",
     "bind_spmv_nonzeros", "bind_spmv_rows", "spmv_rows_reference",
     "bind_spmm_nonzeros", "bind_spmm_rows", "spmm_rows_reference",
     "bind_sddmm_nonzeros", "bind_sddmm_rows", "sddmm_reference",

@@ -25,12 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..legion.machine import Work
-from .segment import (
-    const_thunk,
-    row_of_positions,
-    segment_sum_matrix,
-    zero_fill_thunk,
-)
+from .segment import const_thunk, local_row_pointer, row_of_positions, zero_fill_thunk
+from .spmm import nonzeros_accumulator
 
 __all__ = [
     "bind_sddmm_rows",
@@ -63,22 +59,24 @@ def _chunks(rows, crd, vals, out_vals, p0, p1):
     return chunks
 
 
-def _run_chunks(chunks, C, Dt):
+def _run_chunks(chunks, C, D):
+    # Gather D's columns along its contiguous axis; the factors may be
+    # rewritten in place between calls, so the gather happens per call.
     for rr, cc, vv, oo in chunks:
-        oo[:] = vv * np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
+        Dg = np.ascontiguousarray(D[:, cc].T)
+        oo[:] = vv * np.einsum("ij,ij->i", C.take(rr, axis=0), Dg)
 
 
 def _sddmm_work(nnz, k):
     return Work(2.0 * nnz * k + nnz, float(nnz * (2 * k + 4) * F8))
 
 
-def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1):
-    # Dt is D in (j, k) layout, so each chunk gathers contiguous rows.
+def _range_thunk(pos, crd, vals, C, D, out_vals, p0, p1):
     chunks = _chunks(_rows_of(pos, p0, p1), crd, vals, out_vals, p0, p1)
     w = _sddmm_work(p1 - p0 + 1, C.shape[1])
 
     def thunk():
-        _run_chunks(chunks, C, Dt)
+        _run_chunks(chunks, C, D)
         return w
     return thunk
 
@@ -90,7 +88,7 @@ def bind_sddmm_nonzeros(pos, crd, vals, C, D, out_vals, pieces):
         if p1 < p0:
             thunks[color] = const_thunk(Work(0.0, 0.0))
             continue
-        thunks[color] = _range_thunk(pos, crd, vals, C, D.T, out_vals, p0, p1)
+        thunks[color] = _range_thunk(pos, crd, vals, C, D, out_vals, p0, p1)
     return thunks
 
 
@@ -115,7 +113,6 @@ def bind_fused_sddmm_spmm_nonzeros(pos, crd, vals, C, D, F, out, pieces):
     ``(color, p0, p1)`` piece, accumulating into aliased output rows."""
     thunks = {}
     scratch = np.zeros_like(vals)
-    Dt = D.T
     k, kf = C.shape[1], F.shape[1]
     for color, p0, p1 in pieces:
         if p1 < p0:
@@ -126,17 +123,20 @@ def bind_fused_sddmm_spmm_nonzeros(pos, crd, vals, C, D, F, out, pieces):
         chunks = _chunks(rows, crd, vals, scratch, p0, p1)
         r0, r1 = int(rows[0]), int(rows[-1])
         nr = r1 - r0 + 1
+        accumulate = nonzeros_accumulator(
+            local_row_pointer(rows - r0, nr), crd[p0 : p1 + 1],
+            scratch[p0 : p1 + 1], F, out[r0 : r1 + 1, :],
+        )
         thunks[color] = _fused_nz_thunk(
-            chunks, C, Dt, scratch[p0 : p1 + 1], crd[p0 : p1 + 1], F,
-            rows - r0, nr, out[r0 : r1 + 1, :], _fused_work(nnz, k, kf, nr),
+            chunks, C, D, accumulate, _fused_work(nnz, k, kf, nr)
         )
     return thunks
 
 
-def _fused_nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, ov, w):
+def _fused_nz_thunk(chunks, C, D, accumulate, w):
     def thunk():
-        _run_chunks(chunks, C, Dt)
-        np.add(ov, segment_sum_matrix(sv[:, None] * F[cols, :], rel, nr), out=ov)
+        _run_chunks(chunks, C, D)
+        accumulate()
         return w
     return thunk
 
@@ -146,7 +146,6 @@ def bind_fused_sddmm_spmm_rows(pos, crd, vals, C, D, F, out, pieces):
     ``(color, r0, r1)`` piece."""
     thunks = {}
     scratch = np.zeros_like(vals)
-    Dt = D.T
     k, kf = C.shape[1], F.shape[1]
     ncols = F.shape[0]
     for color, r0, r1 in pieces:
@@ -167,15 +166,15 @@ def bind_fused_sddmm_spmm_rows(pos, crd, vals, C, D, F, out, pieces):
         indptr[:-1] = pos[r0 : r1 + 1, 0] - p0
         indptr[-1] = nnz
         thunks[color] = _fused_rows_thunk(
-            chunks, C, Dt, scratch[p0 : p1 + 1], crd[p0 : p1 + 1], indptr,
+            chunks, C, D, scratch[p0 : p1 + 1], crd[p0 : p1 + 1], indptr,
             (nr, ncols), F, ov, _fused_work(nnz, k, kf, nr),
         )
     return thunks
 
 
-def _fused_rows_thunk(chunks, C, Dt, sv, sidx, indptr, shape, F, ov, w):
+def _fused_rows_thunk(chunks, C, D, sv, sidx, indptr, shape, F, ov, w):
     def thunk():
-        _run_chunks(chunks, C, Dt)
+        _run_chunks(chunks, C, D)
         # The CSR block is rebuilt per execution: its data array is the
         # scratch slice the SDDMM phase just refreshed.
         ov[:, :] = sp.csr_matrix((sv, sidx, indptr), shape=shape) @ F

@@ -11,12 +11,15 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "row_of_positions",
     "expand_ranges",
     "segment_sum",
-    "segment_sum_matrix",
+    "local_row_pointer",
+    "reduction_scratch",
+    "segment_sum_rows",
     "piece_range",
     "const_thunk",
     "zero_fill_thunk",
@@ -67,17 +70,41 @@ def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarra
     return np.bincount(seg_ids, weights=values, minlength=nseg)[:nseg]
 
 
-def segment_sum_matrix(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:
-    """Row-wise segmented sum of an ``(n, k)`` matrix into ``(nseg, k)``.
+def local_row_pointer(rel: np.ndarray, nr: int) -> np.ndarray:
+    """The ``int64`` CSR row pointer of ``nr`` segments, given the sorted
+    local segment id ``rel`` of every position."""
+    indptr = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rel, minlength=nr), out=indptr[1:])
+    return indptr
 
-    For the small trailing dimensions of SpMM/MTTKRP (k ≈ 25–64), a bincount
-    per column beats ``np.add.at`` by a wide margin.
+
+def reduction_scratch(spans) -> Tuple[np.ndarray, np.ndarray]:
+    """The float64 ones and ``int64`` ``arange`` that :func:`segment_sum_rows`
+    reads, sized to the largest inclusive ``(p0, p1)`` span: one pair serves
+    every piece of a leaf."""
+    n = max((p1 - p0 + 1 for p0, p1 in spans), default=0)
+    return np.ones(n), np.arange(n, dtype=np.int64)
+
+
+def segment_sum_rows(
+    values: np.ndarray, indptr: np.ndarray, ones: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Row-wise segmented sum of an ``(n, k)`` matrix whose rows are sorted
+    by segment into ``(len(indptr) - 1, k)``.
+
+    SciPy's compiled ``csr_matvecs`` multiplies a ones/``arange`` CSR
+    matrix (``ones`` and ``index`` from :func:`reduction_scratch`) by
+    ``values`` in float64: each segment sums its rows from 0.0 in order,
+    exactly as a per-column ``np.bincount`` does.  The result has
+    ``values.dtype``.  Like ``np.bincount``'s weights, ``values`` must cast
+    safely to float64: complex values raise ``TypeError``.
     """
     n, k = values.shape
-    out = np.empty((nseg, k), dtype=values.dtype)
-    for col in range(k):
-        out[:, col] = np.bincount(seg_ids, weights=values[:, col], minlength=nseg)[:nseg]
-    return out
+    nseg = indptr.size - 1
+    acc = np.zeros((nseg, k))
+    weights = np.ascontiguousarray(values.astype(np.float64, casting="safe", copy=False))
+    _sparsetools.csr_matvecs(nseg, n, k, indptr, index[:n], ones[:n], weights, acc)
+    return acc.astype(values.dtype, copy=False)
 
 
 def const_thunk(w):

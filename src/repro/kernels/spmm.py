@@ -19,9 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from ..legion.machine import Work
-from .segment import const_thunk, row_of_positions, segment_sum_matrix
+from .segment import (
+    const_thunk,
+    local_row_pointer,
+    reduction_scratch,
+    row_of_positions,
+    segment_sum_rows,
+)
 
 __all__ = ["bind_spmm_rows", "bind_spmm_nonzeros", "spmm_rows_reference"]
 
@@ -77,18 +84,45 @@ def bind_spmm_nonzeros(pos, crd, vals, C, out, pieces):
         r0, r1 = int(rows[0]), int(rows[-1])
         nr = r1 - r0 + 1
         w = Work(2.0 * nnz * k, float(nnz * (2 * F8 + F8 * k) + nr * k * F8))
-        thunks[color] = _accumulate_thunk(
-            vals[p0 : p1 + 1], crd[p0 : p1 + 1], C, rows - r0, nr,
-            out[r0 : r1 + 1, :], w,
+        accumulate = nonzeros_accumulator(
+            local_row_pointer(rows - r0, nr), crd[p0 : p1 + 1],
+            vals[p0 : p1 + 1], C, out[r0 : r1 + 1, :],
         )
+        thunks[color] = _accumulate_thunk(accumulate, w)
     return thunks
 
 
-def _accumulate_thunk(v, cols, C, rel, nr, ov, w):
+def _accumulate_thunk(accumulate, w):
     def thunk():
-        np.add(ov, segment_sum_matrix(v[:, None] * C[cols, :], rel, nr), out=ov)
+        accumulate()
         return w
     return thunk
+
+
+def nonzeros_accumulator(indptr, cols, v, C, ov):
+    """A kernel adding ``sum_p v[p] * C[cols[p], :]`` into each row of
+    ``ov``, the positions of local row ``r`` being ``indptr[r]`` up to
+    ``indptr[r + 1]``.
+
+    Float64 operands run SciPy's compiled ``csr_matvecs`` into a zeroed
+    accumulator.  Other dtypes form the products in their own dtype and
+    reduce them with :func:`segment_sum_rows`.  Either way each row sums
+    from 0.0 in position order, so values equal a per-column
+    ``np.bincount``'s.
+    """
+    nr = indptr.size - 1
+    ncols, k = C.shape
+    if v.dtype == C.dtype == ov.dtype == np.float64:
+        def accumulate():
+            acc = np.zeros((nr, k))
+            _sparsetools.csr_matvecs(nr, ncols, k, indptr, cols, v, C, acc)
+            np.add(ov, acc, out=ov)
+    else:
+        scratch = reduction_scratch([(0, v.size - 1)])
+
+        def accumulate():
+            np.add(ov, segment_sum_rows(v[:, None] * C[cols, :], indptr, *scratch), out=ov)
+    return accumulate
 
 
 def spmm_rows_reference(pos, crd, vals, C, out, r0, r1) -> Work:

@@ -19,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import const_thunk, row_of_positions, segment_sum_matrix
+from .segment import (
+    const_thunk,
+    local_row_pointer,
+    reduction_scratch,
+    row_of_positions,
+    segment_sum_rows,
+)
 
 __all__ = [
     "bind_spmttkrp_csf3_rows",
@@ -44,19 +50,28 @@ def _ddc_ids(n1, pos2, crd2, p0, p1):
     return fibers // n1, fibers % n1, crd2[positions]
 
 
-def _body_thunk(ids, v, C, D, out, accumulate):
+def _body_thunk(ids, v, C, D, out, accumulate, scratch):
     """Reduce ``v * C[j] * D[k]`` into the output rows the ids span."""
     i_ids, j_ids, k_ids = ids
     nnz = v.size
     l = C.shape[1]
     r0, r1 = int(i_ids[0]), int(i_ids[-1])
     nr = r1 - r0 + 1
-    rel = i_ids - r0
+    indptr = local_row_pointer(i_ids - r0, nr)
     ov = out[r0 : r1 + 1, :]
     w = Work(3.0 * nnz * l, float(nnz * (2 * l + 3) * F8 + nr * l * F8))
+    # One dtype: the products are formed in place in the gathered C rows.
+    inplace = v.dtype == C.dtype == D.dtype
+    vcol = v[:, None]
 
     def thunk():
-        acc = segment_sum_matrix(v[:, None] * C[j_ids, :] * D[k_ids, :], rel, nr)
+        P = C.take(j_ids, axis=0)
+        if inplace:
+            np.multiply(P, vcol, out=P)
+            np.multiply(P, D.take(k_ids, axis=0), out=P)
+        else:
+            P = vcol * P * D.take(k_ids, axis=0)
+        acc = segment_sum_rows(P, indptr, *scratch)
         if accumulate:
             np.add(ov, acc, out=ov)
         else:
@@ -66,22 +81,22 @@ def _body_thunk(ids, v, C, D, out, accumulate):
 
 
 def _bind_rows(fibers_of_rows, ids_of, pos2, vals, C, D, out, pieces):
-    thunks = {}
+    spans = {}
     for color, r0, r1 in pieces:
         f0, f1 = fibers_of_rows(r0, r1) if r1 >= r0 else (0, -1)
-        p0, p1 = (int(pos2[f0, 0]), int(pos2[f1, 1])) if f1 >= f0 else (0, -1)
-        if p1 < p0:
-            thunks[color] = const_thunk(Work(0.0, 0.0))
-            continue
-        thunks[color] = _body_thunk(
-            ids_of(p0, p1), vals[p0 : p1 + 1], C, D, out, False
-        )
-    return thunks
+        spans[color] = (int(pos2[f0, 0]), int(pos2[f1, 1])) if f1 >= f0 else (0, -1)
+    scratch = reduction_scratch(spans.values())
+    return {
+        color: _body_thunk(ids_of(p0, p1), vals[p0 : p1 + 1], C, D, out, False, scratch)
+        if p1 >= p0 else const_thunk(Work(0.0, 0.0))
+        for color, (p0, p1) in spans.items()
+    }
 
 
 def _bind_nonzeros(ids_of, vals, C, D, out, pieces):
+    scratch = reduction_scratch((p0, p1) for _, p0, p1 in pieces)
     return {
-        color: _body_thunk(ids_of(p0, p1), vals[p0 : p1 + 1], C, D, out, True)
+        color: _body_thunk(ids_of(p0, p1), vals[p0 : p1 + 1], C, D, out, True, scratch)
         if p1 >= p0 else const_thunk(Work(0.0, 0.0))
         for color, p0, p1 in pieces
     }

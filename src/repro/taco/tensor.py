@@ -22,7 +22,7 @@ from ..errors import FormatError
 from ..legion.index_space import IndexSpace
 from ..legion.region import RectRegion, Region, make_pos_region
 from .expr import Access, Add, Assignment, IndexExpr
-from .formats import Compressed, Dense, Format, dense_format
+from .formats import CSR, Compressed, Dense, Format, dense_format
 from .index_vars import IndexVar
 
 __all__ = ["DenseLevel", "CompressedLevel", "Tensor"]
@@ -157,7 +157,11 @@ class Tensor:
 
     @staticmethod
     def from_scipy(name: str, mat, format: Optional[Format] = None) -> "Tensor":
+        """Pack a SciPy sparse matrix; ``format=None`` packs it as CSR (a
+        sparse operand stays sparse)."""
         coo = mat.tocoo()
+        if format is None:
+            format = CSR
         return Tensor.from_coo(
             name,
             [coo.row.astype(np.int64), coo.col.astype(np.int64)],

@@ -318,3 +318,69 @@ SWEEP_CASES = [
 def test_differential_sweep(case):
     kind, fmt, strategy, machine_kind, seed, n, density = case
     _check(kind, fmt, strategy, machine_kind, seed, n=n, density=density)
+
+
+# --------------------------------------------------------------------------- #
+# raw SciPy operands: every einsum spec the specialized kernels cover
+# --------------------------------------------------------------------------- #
+#: SciPy containers a caller may pass; each must pack as CSR.
+_SCIPY_CONTAINERS = {
+    "csr_matrix": sp.csr_matrix,
+    "csr_array": sp.csr_array,
+    "csc_matrix": sp.csc_matrix,
+    "coo_matrix": sp.coo_matrix,
+}
+
+
+def _einsum_case(spec, rng, n, session):
+    """(operands as raw SciPy/NumPy, ``out=`` or None, the SciPy/NumPy
+    reference, the specialized kernel kind) for one einsum ``spec``."""
+    A, A2, A3 = (_int_csr(rng, n, n, 0.2) for _ in range(3))
+    if spec == "ij,j->i":
+        x = _int_dense(rng, (n,))
+        return (A, x), None, A @ x, "spmv"
+    if spec == "ij,jk->ik":
+        X = _int_dense(rng, (n, 5))
+        return (A, X), None, A @ X, "spmm"
+    if spec == "ij,ik,kj->ij":
+        U, V = _int_dense(rng, (n, 4)), _int_dense(rng, (4, n))
+        out = session.zeros("E", (n, n), CSR)
+        return (A, U, V), out, A.multiply(U @ V).toarray(), "sddmm"
+    if spec == "ij+ij->ij":
+        return (A, A2), session.zeros("S", (n, n), CSR), (A + A2).toarray(), "spadd"
+    assert spec == "ij+ij+ij->ij"
+    return ((A, A2, A3), session.zeros("S", (n, n), CSR),
+            (A + A2 + A3).toarray(), "spadd")
+
+
+@pytest.mark.parametrize("container", sorted(_SCIPY_CONTAINERS))
+@pytest.mark.parametrize("spec", [
+    "ij,j->i", "ij,jk->ik", "ij,ik,kj->ij", "ij+ij->ij", "ij+ij+ij->ij",
+])
+def test_einsum_raw_scipy_operands(spec, container):
+    import repro
+    from repro.core.compiler import classify
+
+    rng = np.random.default_rng(99)
+    with repro.session(nodes=PIECES) as s:
+        ops, out, expected, kind = _einsum_case(spec, rng, 24, s)
+        ops = [_SCIPY_CONTAINERS[container](op) if sp.issparse(op) else op
+               for op in ops]
+        got = repro.einsum(spec, *ops, session=s, out=out)
+        assert classify(got.assignment).kind == kind
+        packed = [a.tensor for a in got.assignment.rhs.accesses()]
+        assert [t.format == CSR for t in packed] == [sp.issparse(op) for op in ops]
+        assert np.array_equal(got.to_dense(), expected)
+
+
+def test_raw_scipy_packs_csr_through_every_entry_point():
+    import repro
+    from repro.api.serving import Server
+
+    A = _int_csr(np.random.default_rng(5), 12, 12, 0.2)
+    assert Tensor.from_scipy("A", A).format == CSR
+    with repro.session() as s:
+        assert s.tensor("A", A).format == CSR
+        assert s.tensor("A", A, CSC).format == CSC  # an explicit format wins
+    with Server(nodes=2, workers=1) as srv:
+        assert srv.put_tensor("A", A).format == CSR

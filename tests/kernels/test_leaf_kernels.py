@@ -23,6 +23,7 @@ from repro.kernels import (
     bind_spmv_rows,
     bind_spttv_csf3_rows,
     bind_spttv_ddc_rows,
+    row_of_positions,
     sddmm_reference,
     spadd3_fill,
     spadd3_symbolic,
@@ -346,3 +347,236 @@ class TestSpMTTKRP:
             out = np.zeros((3, 4))
             run(bind(*arrays, C, D, out, split(0, hi, 2)))
             assert np.allclose(out, expected)
+
+
+# --------------------------------------------------------------------------- #
+# bit identity with the per-column bincount / gathered einsum leaves
+# --------------------------------------------------------------------------- #
+# Frozen copies of the formulas these leaves ran before their reductions
+# moved to SciPy's csr_matvecs and their SDDMM phase gathered D along its
+# contiguous axis.  The leaves must reproduce them bit for bit: same
+# products, each row summed from 0.0 in position order.  Float64 takes
+# the compiled reductions; float32 the dtype fallback.
+def frozen_reduce(values, rel, nr):
+    out = np.empty((nr, values.shape[1]), dtype=values.dtype)
+    for col in range(values.shape[1]):
+        out[:, col] = np.bincount(rel, weights=values[:, col], minlength=nr)[:nr]
+    return out
+
+
+def frozen_rows_of(pos, p0, p1):
+    return row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
+
+
+def frozen_spmm_nonzeros(pos, crd, vals, C, out, pieces):
+    for _, p0, p1 in pieces:
+        if p1 < p0:
+            continue
+        rows = frozen_rows_of(pos, p0, p1)
+        r0, nr = rows[0], rows[-1] - rows[0] + 1
+        products = vals[p0 : p1 + 1, None] * C[crd[p0 : p1 + 1], :]
+        out[r0 : r0 + nr] += frozen_reduce(products, rows - r0, nr)
+
+
+def frozen_sddmm(pos, crd, vals, C, D, out_vals, pieces):
+    for _, p0, p1 in pieces:
+        if p1 < p0:
+            continue
+        rows = frozen_rows_of(pos, p0, p1)
+        dots = np.einsum("ij,ij->i", C[rows, :], D.T[crd[p0 : p1 + 1], :])
+        out_vals[p0 : p1 + 1] = vals[p0 : p1 + 1] * dots
+
+
+def frozen_fused_nonzeros(pos, crd, vals, C, D, F, out, pieces):
+    scratch = np.zeros_like(vals)
+    frozen_sddmm(pos, crd, vals, C, D, scratch, pieces)
+    frozen_spmm_nonzeros(pos, crd, scratch, F, out, pieces)
+
+
+def frozen_fused_rows(pos, crd, vals, C, D, F, out, pieces):
+    scratch = np.zeros_like(vals)
+    for _, r0, r1 in pieces:
+        if r1 < r0:
+            continue
+        p0, p1 = pos[r0, 0], pos[r1, 1]
+        if p1 < p0:
+            out[r0 : r1 + 1] = 0.0
+            continue
+        frozen_sddmm(pos, crd, vals, C, D, scratch, [(0, p0, p1)])
+        indptr = np.append(pos[r0 : r1 + 1, 0] - p0, p1 + 1 - p0)
+        block = sp.csr_matrix((scratch[p0 : p1 + 1], crd[p0 : p1 + 1], indptr),
+                              shape=(r1 - r0 + 1, F.shape[0]))
+        out[r0 : r1 + 1] = block @ F
+
+
+def frozen_mttkrp(ids_of, vals, C, D, out, spans, accumulate):
+    for p0, p1 in spans:
+        if p1 < p0:
+            continue
+        i, j, k = ids_of(p0, p1)
+        r0, nr = i[0], i[-1] - i[0] + 1
+        acc = frozen_reduce(vals[p0 : p1 + 1, None] * C[j, :] * D[k, :], i - r0, nr)
+        if accumulate:
+            out[r0 : r0 + nr] += acc
+        else:
+            out[r0 : r0 + nr] = acc
+
+
+def _wide(shape, dtype=np.float64):
+    """Signed values over six decades: a changed summation order shows."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)).astype(dtype)
+
+
+def _shares_boundary_row(pos, pieces):
+    """Whether some piece ends inside a row the next piece continues."""
+    ends = [p1 for _, p0, p1 in pieces if p1 >= p0][:-1]
+    return any(np.ptp(frozen_rows_of(pos, e, e + 1)) == 0 for e in ends)
+
+
+def _matrix_leaf(name, M, pos, crd, vals):
+    """(bind, frozen, out0, inputs) for a CSR leaf over ``M``'s arrays."""
+    n, m = M.shape
+    dt = vals.dtype
+    C, D, F, X = (_wide(shape, dt) for shape in ((n, 5), (5, m), (m, 3), (m, 4)))
+    nz = split(0, M.nnz - 1, 4) + [(4, 9, 8)]  # the last piece is empty
+    assert _shares_boundary_row(pos, nz)
+    # piece 1 is the empty row 3, piece 4 is empty
+    rows = [(0, 0, 2), (1, 3, 3), (2, 4, 15), (3, 16, n - 1), (4, 7, 6)]
+    if name == "spmm_nonzeros":
+        return (lambda o: bind_spmm_nonzeros(pos, crd, vals, X, o, nz),
+                lambda o: frozen_spmm_nonzeros(pos, crd, vals, X, o, nz),
+                _wide((n, 4), dt), [vals, X])
+    if name in ("sddmm_nonzeros", "sddmm_rows"):
+        bind, pieces = ((bind_sddmm_nonzeros, nz) if name == "sddmm_nonzeros"
+                        else (bind_sddmm_rows, rows))
+        positions = nz if pieces is nz else [
+            (c, pos[r0, 0], pos[r1, 1]) if r1 >= r0 else (c, 0, -1)
+            for c, r0, r1 in rows
+        ]
+        return (lambda o: bind(pos, crd, vals, C, D, o, pieces),
+                lambda o: frozen_sddmm(pos, crd, vals, C, D, o, positions),
+                np.zeros(M.nnz, dt), [vals, C, D])
+    if name == "fused_nonzeros":
+        return (lambda o: bind_fused_sddmm_spmm_nonzeros(pos, crd, vals, C, D, F, o, nz),
+                lambda o: frozen_fused_nonzeros(pos, crd, vals, C, D, F, o, nz),
+                _wide((n, 3), dt), [vals, C, D, F])
+    assert name == "fused_rows"
+    return (lambda o: bind_fused_sddmm_spmm_rows(pos, crd, vals, C, D, F, o, rows),
+            lambda o: frozen_fused_rows(pos, crd, vals, C, D, F, o, rows),
+            _wide((n, 3), dt), [vals, C, D, F])
+
+
+def _mttkrp_leaf(name, T, dt):
+    """(bind, frozen, out0, inputs) for an MTTKRP leaf over 3-tensor ``T``."""
+    fmt, strategy = name.split("_")[1:]
+    n0, n1, n2 = T.shape
+    pos2, crd2 = T.levels[2].pos.data, T.levels[2].crd.data
+    vals = T.vals.data.astype(dt, copy=False)
+    C, D = _wide((n1, 4), dt), _wide((n2, 4), dt)
+
+    def ids_of(p0, p1):
+        positions = np.arange(p0, p1 + 1, dtype=np.int64)
+        fibers = row_of_positions(pos2[:, 0], positions)
+        if fmt == "ddc":
+            return fibers // n1, fibers % n1, crd2[positions]
+        pos1, crd1 = T.levels[1].pos.data, T.levels[1].crd.data
+        return row_of_positions(pos1[:, 0], fibers), crd1[fibers], crd2[positions]
+
+    def fibers_of(r0, r1):
+        if fmt == "ddc":
+            return r0 * n1, (r1 + 1) * n1 - 1
+        pos1 = T.levels[1].pos.data
+        return pos1[r0, 0], pos1[r1, 1]
+
+    arrays = ((n1, pos2, crd2, vals) if fmt == "ddc" else
+              (T.levels[1].pos.data, T.levels[1].crd.data, pos2, crd2, vals))
+    bind = {
+        ("csf3", "rows"): bind_spmttkrp_csf3_rows,
+        ("csf3", "nonzeros"): bind_spmttkrp_csf3_nonzeros,
+        ("ddc", "rows"): bind_spmttkrp_ddc_rows,
+        ("ddc", "nonzeros"): bind_spmttkrp_ddc_nonzeros,
+    }[fmt, strategy]
+    if strategy == "nonzeros":
+        pieces = split(0, T.nnz - 1, 3) + [(3, 9, 8)]
+        spans = [(p0, p1) for _, p0, p1 in pieces]
+    else:
+        pieces = split(0, n0 - 1, 3) + [(3, 2, 1)]
+        spans = []
+        for _, r0, r1 in pieces:
+            f0, f1 = fibers_of(r0, r1) if r1 >= r0 else (0, -1)
+            spans.append((pos2[f0, 0], pos2[f1, 1]) if f1 >= f0 else (0, -1))
+    accumulate = strategy == "nonzeros"
+    return (lambda o: bind(*arrays, C, D, o, pieces),
+            lambda o: frozen_mttkrp(ids_of, vals, C, D, o, spans, accumulate),
+            _wide((n0, 4), dt), [vals, C, D])
+
+
+_MATRIX_LEAVES = ("spmm_nonzeros", "sddmm_nonzeros", "sddmm_rows",
+                  "fused_nonzeros", "fused_rows")
+_MTTKRP_LEAVES = ("mttkrp_csf3_rows", "mttkrp_csf3_nonzeros",
+                  "mttkrp_ddc_rows", "mttkrp_ddc_nonzeros")
+
+
+def _assert_bits_equal(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", _MATRIX_LEAVES + _MTTKRP_LEAVES)
+def test_bit_identical_to_frozen_formula(name, dtype, csr_case):
+    if name in _MATRIX_LEAVES:
+        M, pos, crd, vals = csr_case
+        vals = _wide(vals.size, dtype)  # signed values, wide range
+        bind, frozen, out0, inputs = _matrix_leaf(name, M, pos, crd, vals)
+    else:
+        shape = (9, 7, 6)
+        idx = [rng.integers(0, s, 150) for s in shape]
+        T = Tensor.from_coo("T", idx, _wide(150), shape,
+                            DDC if "ddc" in name else CSF3)
+        bind, frozen, out0, inputs = _mttkrp_leaf(name, T, dtype)
+    got, ref = out0.copy(), out0.copy()
+    thunks = bind(got)
+    run(thunks)
+    frozen(ref)
+    _assert_bits_equal(got, ref)
+    first = got.copy()
+    # In-place writes to every operand reach the bound leaf's next call.
+    for a in inputs:
+        a[...] = _wide(a.shape)
+    got[...] = out0
+    ref[...] = out0
+    run(thunks)
+    frozen(ref)
+    _assert_bits_equal(got, ref)
+    assert not np.array_equal(got, first)
+
+
+@pytest.mark.parametrize("name", ["spmm_nonzeros", "mttkrp_csf3_nonzeros",
+                                  "mttkrp_ddc_rows"])
+def test_complex_dense_operand_raises(name, csr_case):
+    # The reductions accept what np.bincount's weights accept: a complex
+    # factor raises instead of losing its imaginary parts.
+    if name == "spmm_nonzeros":
+        M, pos, crd, vals = csr_case
+        C = _wide((M.shape[1], 3)) * 1j
+        out = np.zeros((M.shape[0], 3), dtype=complex)
+        thunks = bind_spmm_nonzeros(pos, crd, vals, C, out, split(0, M.nnz - 1, 2))
+    else:
+        shape = (9, 7, 6)
+        idx = [rng.integers(0, s, 150) for s in shape]
+        fmt = DDC if "ddc" in name else CSF3
+        T = Tensor.from_coo("T", idx, _wide(150), shape, fmt)
+        pos2, crd2, vals = T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data
+        C, D = _wide((7, 4)) * 1j, _wide((6, 4))
+        out = np.zeros((9, 4), dtype=complex)
+        if fmt is DDC:
+            thunks = bind_spmttkrp_ddc_rows(7, pos2, crd2, vals, C, D, out,
+                                            split(0, 8, 3))
+        else:
+            thunks = bind_spmttkrp_csf3_nonzeros(
+                T.levels[1].pos.data, T.levels[1].crd.data, pos2, crd2, vals,
+                C, D, out, split(0, T.nnz - 1, 3),
+            )
+    with pytest.raises(TypeError):
+        run(thunks)

@@ -6,11 +6,35 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     expand_ranges,
+    local_row_pointer,
     piece_range,
+    reduction_scratch,
     row_of_positions,
     segment_sum,
-    segment_sum_matrix,
+    segment_sum_rows,
 )
+
+
+def bincount_columns(values, ids, nseg):
+    """The per-column ``np.bincount`` reduction the non-zeros leaves ran
+    before ``csr_matvecs``: the values ``segment_sum_rows`` must equal."""
+    out = np.empty((nseg, values.shape[1]), dtype=values.dtype)
+    for col in range(values.shape[1]):
+        out[:, col] = np.bincount(ids, weights=values[:, col], minlength=nseg)[:nseg]
+    return out
+
+
+def sum_rows(values, ids, nseg):
+    return segment_sum_rows(
+        values, local_row_pointer(ids, nseg),
+        *reduction_scratch([(0, values.shape[0] - 1)]),
+    )
+
+
+def assert_bits_equal(got, expected):
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestPieceRange:
@@ -74,19 +98,45 @@ class TestSegmentSums:
         got = segment_sum(np.array([1.0, 2, 3, 4]), np.array([0, 0, 2, 2]), 3)
         assert got.tolist() == [3.0, 0.0, 7.0]
 
-    def test_segment_sum_matrix(self):
-        vals = np.arange(8.0).reshape(4, 2)
-        got = segment_sum_matrix(vals, np.array([0, 1, 1, 0]), 2)
-        assert got.tolist() == [[6.0, 8.0], [6.0, 8.0]]
+    def test_local_row_pointer(self):
+        got = local_row_pointer(np.array([0, 0, 2, 2, 2]), 4)
+        assert got.dtype == np.int64
+        assert got.tolist() == [0, 2, 2, 5, 5]
 
-    @given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_matrix_matches_loop(self, nseg, n, k):
-        rng = np.random.default_rng(0)
-        vals = rng.random((n, k))
-        ids = rng.integers(0, nseg, n)
-        expected = np.zeros((nseg, k))
-        for t in range(n):
-            expected[ids[t]] += vals[t]
-        got = segment_sum_matrix(vals, ids, nseg) if n else np.zeros((nseg, k))
-        assert np.allclose(got, expected)
+    def test_segment_sum_rows(self):
+        vals = np.arange(8.0).reshape(4, 2)
+        got = sum_rows(vals, np.array([0, 0, 2, 2]), 4)  # segments 1, 3 empty
+        assert got.tolist() == [[2.0, 4.0], [0.0, 0.0], [10.0, 12.0], [0.0, 0.0]]
+        assert_bits_equal(got, bincount_columns(vals, np.array([0, 0, 2, 2]), 4))
+
+    def test_negative_zero_products(self):
+        # Both reductions start each segment from +0.0: -0.0 products sum
+        # to +0.0, and an empty segment stays +0.0.
+        vals = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
+        ids = np.array([0, 0, 2])
+        got = sum_rows(vals, ids, 3)
+        assert not np.signbit(got).any()
+        assert_bits_equal(got, bincount_columns(vals, ids, 3))
+
+    def test_reduction_scratch_fits_largest_span(self):
+        ones, index = reduction_scratch([(4, 9), (0, -1), (10, 12)])
+        assert ones.tolist() == [1.0] * 6
+        assert index.dtype == np.int64 and index.tolist() == list(range(6))
+        assert reduction_scratch([])[0].size == 0
+
+    def test_complex_values_raise(self):
+        # np.bincount rejects complex weights; dropping the imaginary parts
+        # silently would return wrong sums.
+        with pytest.raises(TypeError):
+            sum_rows(np.array([[1.0 + 2.0j], [3.0 + 0.0j]]), np.array([0, 1]), 2)
+
+    @given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5),
+           st.sampled_from([np.float64, np.float32]), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_bincount_columns(self, nseg, n, k, dtype, seed):
+        rng = np.random.default_rng(seed)
+        vals = (rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k)))
+        vals[rng.random((n, k)) < 0.2] = -0.0
+        vals = vals.astype(dtype)
+        ids = np.sort(rng.integers(0, nseg, n))
+        assert_bits_equal(sum_rows(vals, ids, nseg), bincount_columns(vals, ids, nseg))

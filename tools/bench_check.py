@@ -30,10 +30,13 @@ Seven gated scenarios, each compared against its most recent
   warm-over-rebuilt wall-clock speedup.
 
 * **leaves** — a sweep of the bound SpMV rows leaf on the iterative-SpMV
-  kernel against SciPy's ``A @ x`` on the same operands, in the same
-  process.  Checked unconditionally: values within 1e-12 relative of
-  SciPy, and the simulated metrics equal to ``predict_metrics``.  The
-  gated statistic is the SciPy-time over leaf-time ratio.
+  kernel against SciPy's ``A @ x``, and a sweep of the non-zeros leaves
+  of the fused SDDMM→SpMM and CSF3 MTTKRP kernels on 4 GPUs against
+  their NumPy/SciPy formulas, each on the same operands in the same
+  process.  Checked unconditionally: values within 1e-12 relative of the
+  references, and every kernel's simulated metrics equal to
+  ``predict_metrics``.  The gated statistics are the reference-time over
+  leaf-time ratios of both sweeps.
 
 * **fusion** — the pass pipeline's SDDMM→SpMM kernel fusion against the
   unfused two-statement chain (the fused statement inherits the
@@ -94,10 +97,11 @@ def latest_baseline(scenario: str):
     return candidates[-1] if candidates else None
 
 
-def _gate_ratio(scenario: str, stat_name: str, fresh_value: float,
-                write: bool, threshold: float, record) -> int:
-    """Compare ``fresh_value`` against the latest baseline's ``stat_name``;
-    ``record()`` writes a new baseline file and returns its path."""
+def _gate_ratios(scenario: str, fresh: dict, write: bool, threshold: float,
+                 record) -> int:
+    """Compare each ``fresh[stat_name]`` against the latest baseline's
+    ``stat_name``, each held to its own floor; ``record()`` writes a new
+    baseline file and returns its path."""
     if write:
         path = record()
         print(f"baseline written: {path.name}")
@@ -108,19 +112,22 @@ def _gate_ratio(scenario: str, stat_name: str, fresh_value: float,
         print(f"no BENCH_{scenario}_*.json baseline found; recorded {path.name}")
         return 0
     baseline = json.loads(baseline_path.read_text())
-    base = baseline.get(stat_name)
-    if not base:
-        print(f"baseline {baseline_path.name} lacks {stat_name}; ignoring")
-        return 0
-    floor = base * (1.0 - threshold)
-    print(f"baseline {baseline_path.name}: {stat_name} {base:.2f}x "
-          f"-> floor {floor:.2f}x")
-    if fresh_value < floor:
-        print(f"FAIL: {stat_name} dropped to {fresh_value:.2f}x "
-              f"(> {100 * threshold:.0f}% regression vs {base:.2f}x)")
-        return 1
-    print("OK: within threshold")
-    return 0
+    rc = 0
+    for stat_name, fresh_value in fresh.items():
+        base = baseline.get(stat_name)
+        if not base:
+            print(f"baseline {baseline_path.name} lacks {stat_name}; ignoring")
+            continue
+        floor = base * (1.0 - threshold)
+        print(f"baseline {baseline_path.name}: {stat_name} {base:.2f}x "
+              f"-> floor {floor:.2f}x")
+        if fresh_value < floor:
+            print(f"FAIL: {stat_name} dropped to {fresh_value:.2f}x "
+                  f"(> {100 * threshold:.0f}% regression vs {base:.2f}x)")
+            rc = 1
+        else:
+            print("OK: within threshold")
+    return rc
 
 
 # --------------------------------------------------------------------------- #
@@ -147,8 +154,8 @@ def check_iterative(write: bool, threshold: float) -> int:
     print(f"iterative: cached {best_c.wall_steady * 1e3:.3f} ms/iter, "
           f"seed {best_u.wall_steady * 1e3:.3f} ms/iter, "
           f"speedup {speedup:.2f}x ({best_c.trace_hits} trace replays)")
-    return _gate_ratio(
-        "iterative", "steady_speedup", speedup, write, threshold,
+    return _gate_ratios(
+        "iterative", {"steady_speedup": speedup}, write, threshold,
         lambda: write_bench_report(best_c, best_u, BENCH_DIR),
     )
 
@@ -183,8 +190,8 @@ def check_warmstart(write: bool, threshold: float) -> int:
         return 1
     print("warm-start contract holds (kernel hit, no re-partitioning, "
           "no re-record, bit-identical metrics)")
-    return _gate_ratio(
-        "warmstart", "warmstart_speedup", result.warmstart_speedup, write,
+    return _gate_ratios(
+        "warmstart", {"warmstart_speedup": result.warmstart_speedup}, write,
         threshold, lambda: write_warmstart_report(result, BENCH_DIR),
     )
 
@@ -272,8 +279,8 @@ def check_figures(write: bool, threshold: float) -> int:
             path.write_text(_json.dumps(payload, indent=2))
             return path
 
-        return _gate_ratio("figures", "figures_warm_speedup", speedup, write,
-                           threshold, record)
+        return _gate_ratios("figures", {"figures_warm_speedup": speedup},
+                            write, threshold, record)
     finally:
         warmstore.set_warm_store(None)
         warmstore.set_warm_memo_enabled(True)
@@ -415,12 +422,12 @@ def check_autotune(write: bool, threshold: float) -> int:
         path.write_text(json.dumps(payload, indent=2))
         return path
 
-    return _gate_ratio("autotune", "autotune_margin", geomean, write,
-                       threshold, record)
+    return _gate_ratios("autotune", {"autotune_margin": geomean}, write,
+                        threshold, record)
 
 
 # --------------------------------------------------------------------------- #
-# scenario: leaves (bound SpMV rows leaf vs SciPy)
+# scenario: leaves (bound SpMV rows and non-zeros leaves vs SciPy/NumPy)
 # --------------------------------------------------------------------------- #
 def check_leaves(write: bool, threshold: float) -> int:
     from repro.bench.leavesbench import RTOL, run_leaves_bench, write_leaves_report
@@ -429,25 +436,34 @@ def check_leaves(write: bool, threshold: float) -> int:
     print(f"leaves: leaf sweep {result.leaf_s * 1e3:.3f} ms, "
           f"SciPy A @ x {result.scipy_s * 1e3:.3f} ms, "
           f"ratio {result.scipy_ratio:.2f}x")
+    print(f"leaves: non-zeros sweep {result.nonzeros_leaf_s * 1e3:.3f} ms, "
+          f"NumPy/SciPy reference {result.nonzeros_ref_s * 1e3:.3f} ms, "
+          f"ratio {result.nonzeros_ratio:.2f}x")
     # The leaf contract is unconditional — a break fails regardless of any
-    # baseline: values match SciPy and the simulated metrics match the
-    # static prediction.
+    # baseline: values match the references and the simulated metrics
+    # match the static prediction.
     failures = []
-    if not result.values_match:
-        failures.append(
-            f"max relative error {result.max_rel_error:.3e} against SciPy "
-            f"exceeds {RTOL:g}"
-        )
+    for label, err in (("SciPy", result.max_rel_error),
+                       ("the non-zeros reference", result.nonzeros_max_rel_error)):
+        if not err <= RTOL:
+            failures.append(
+                f"max relative error {err:.3e} against {label} exceeds {RTOL:g}"
+            )
     if not result.metrics_match_prediction:
-        failures.append("simulated metrics differ from predict_metrics")
+        failures.append("SpMV simulated metrics differ from predict_metrics")
+    if not result.nonzeros_metrics_match:
+        failures.append("non-zeros simulated metrics differ from predict_metrics")
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
-    print(f"OK: contracts hold (max relative error {result.max_rel_error:.1e})")
-    return _gate_ratio(
-        "leaves", "scipy_ratio", result.scipy_ratio, write, threshold,
-        lambda: write_leaves_report(result, BENCH_DIR),
+    print("OK: contracts hold (max relative error "
+          f"{max(result.max_rel_error, result.nonzeros_max_rel_error):.1e})")
+    return _gate_ratios(
+        "leaves",
+        {"scipy_ratio": result.scipy_ratio,
+         "nonzeros_ratio": result.nonzeros_ratio},
+        write, threshold, lambda: write_leaves_report(result, BENCH_DIR),
     )
 
 
@@ -574,8 +590,8 @@ def check_fusion(write: bool, threshold: float) -> int:
         path.write_text(json.dumps(payload, indent=2))
         return path
 
-    return _gate_ratio("fusion", "fusion_comm_saved", comm_saved, write,
-                       threshold, record)
+    return _gate_ratios("fusion", {"fusion_comm_saved": comm_saved}, write,
+                        threshold, record)
 
 
 # --------------------------------------------------------------------------- #
@@ -625,8 +641,8 @@ def check_serving(write: bool, threshold: float) -> int:
     print(f"OK: contracts hold ({result.server_compiles} builds serve "
           f"{result.total_requests} requests)")
 
-    return _gate_ratio(
-        "serving", "serving_speedup", result.serving_speedup, write,
+    return _gate_ratios(
+        "serving", {"serving_speedup": result.serving_speedup}, write,
         threshold, lambda: write_serving_report(result, BENCH_DIR),
     )
 
